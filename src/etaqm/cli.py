@@ -84,6 +84,15 @@ def emit_error(code: int, message: str, context: dict | None = None):
     sys.stderr.write(dump_json({"code": code, "message": message, "context": context or {}}) + "\n")
 
 
+def emit_report(text: str, out: str | None, file_text: str | None = None) -> None:
+    """Write a report to stdout and, when --out names a path, to that file
+    (`file_text` instead of `text` when the file holds another form)."""
+    sys.stdout.write(text)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text if file_text is None else file_text)
+
+
 # ---------------------------------------------------------------------------
 # Fixture construction from flags
 # ---------------------------------------------------------------------------
@@ -194,11 +203,7 @@ def cmd_spectrum(args) -> int:
             else:
                 devs.append(float("inf"))
         out["deviation"] = devs
-    text = dump_json(out) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    emit_report(dump_json(out) + "\n", args.out)
     return EXIT_OK
 
 
@@ -265,11 +270,7 @@ def cmd_verify_eta(args) -> int:
             "probe_residual": rep.probe_residual,
             "riccati_defect": rep.riccati_defect,
         }
-    text = dump_json(out) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    emit_report(dump_json(out) + "\n", args.out)
     return EXIT_OK
 
 
@@ -344,11 +345,7 @@ def cmd_sweep(args) -> int:
                 row["error"].replace(",", ";"),
             ])
         )
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    emit_report("\n".join(lines) + "\n", args.out)
     if ok == 0:
         raise CliError(EXIT_SOLVER, "every sweep row failed")
     return EXIT_OK
@@ -357,6 +354,18 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
+
+def trace_csv(trace: evolve.EvolutionTrace) -> str:
+    lines = ["t,re_q,im_q,defect"]
+    for k in range(len(trace.times)):
+        lines.append(",".join([
+            fmt_float(trace.times[k]),
+            fmt_float(trace.Q[k].real),
+            fmt_float(trace.Q[k].imag),
+            fmt_float(trace.continuity_residual[k]),
+        ]))
+    return "\n".join(lines) + "\n"
+
 
 def cmd_evolve(args) -> int:
     potential = potential_from_args(args)
@@ -394,18 +403,7 @@ def cmd_evolve(args) -> int:
         "max_continuity_defect": float(np.max(interior)),
         "flags": ["mismatched-metric"] if mismatched else [],
     }
-    sys.stdout.write(dump_json(out) + "\n")
-    if args.out:
-        lines = ["t,re_q,im_q,defect"]
-        for k in range(len(trace.times)):
-            lines.append(",".join([
-                fmt_float(trace.times[k]),
-                fmt_float(trace.Q[k].real),
-                fmt_float(trace.Q[k].imag),
-                fmt_float(trace.continuity_residual[k]),
-            ]))
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    emit_report(dump_json(out) + "\n", args.out, trace_csv(trace) if args.out else None)
     return EXIT_OK
 
 
@@ -417,11 +415,7 @@ def cmd_levels(args) -> int:
     levels = analytic_levels(args)
     if levels is None:
         raise CliError(EXIT_CONFIG, "levels needs --family scarf2|special-b1|first-order")
-    text = dump_json(levelset_json(levels)) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    emit_report(dump_json(levelset_json(levels)) + "\n", args.out)
     return EXIT_OK
 
 

@@ -1,10 +1,9 @@
 """Crank-Nicolson evolution and the generalized continuity/conservation law.
 
-Two fields are propagated: psi1 obeys i d/dt psi1 = H psi1, while the second
-solution enters through phi(x,t) = conj(psi2(-x,t)), which satisfies the same
-equation with i -> -i.  On the mirror-exact grid with a PT-symmetric H this
-is realized by stepping phi with the Crank-Nicolson update at -dt; the
-reduction is verified directly against the forward-evolved psi2 in the tests.
+Two fields obey i d/dt psi = H psi: psi1, and psi2, which enters through
+phi(x,t) = conj(psi2(-x,t)).  Both are stepped forward together with one
+Crank-Nicolson factorization, and phi is formed from psi2 when a step is
+recorded, so no symmetry of H is assumed.
 
 Recorded per step:
 
@@ -23,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NanAbortError, ParameterError, SingularSystemError
 from .grid import Grid, diff_matrix
+from .operators import _is_integer
 
 __all__ = ["EvolutionTrace", "step_cn", "run", "continuity_fields", "gaussian_state"]
 
@@ -49,108 +48,45 @@ def gaussian_state(grid: Grid, x0: float = 0.0, sigma: float = 1.0, k: float = 0
     return psi / (np.linalg.norm(psi) * np.sqrt(grid.h))
 
 
+class _CrankNicolson:
+    """Crank-Nicolson propagator for a fixed H and dt, factored once.
+
+    A = I + (i dt/2) H is held as a sparse LU and B = I - (i dt/2) H as a
+    sparse matrix; a step solves A psi' = B psi.  psi is one field or a
+    stack of fields as columns.
+    """
+
+    def __init__(self, H: np.ndarray, dt: float):
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
+        Hs = sp.csc_matrix(H, dtype=complex)
+        eye = sp.identity(Hs.shape[0], dtype=complex, format="csc")
+        z = 0.5j * dt
+        self.B = eye - z * Hs
+        try:
+            self.lu = splu(eye + z * Hs)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularSystemError(f"implicit Crank-Nicolson system is singular: {exc}") from exc
+
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        return self.lu.solve(self.B @ psi)
+
+
 def step_cn(H: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
-    """One Crank-Nicolson step: (I + i dt/2 H) psi' = (I - i dt/2 H) psi."""
+    """One Crank-Nicolson step: (I + i dt/2 H) psi' = (I - i dt/2 H) psi.
+
+    dt may be negative.  An exactly singular implicit system, or a solve that
+    yields non-finite values, raises SingularSystemError.
+    """
     if dt == 0 or not np.isfinite(dt):
         raise ParameterError(f"time step must be finite and nonzero, got {dt}")
     if H.shape[0] != H.shape[1] or H.shape[0] != len(psi):
         raise DimensionError(f"shape mismatch: H {H.shape}, psi {len(psi)}")
-    z = 0.5j * dt
-    A = np.eye(H.shape[0], dtype=complex) + z * H
-    rhs = psi - z * (H @ psi)
-    try:
-        with np.errstate(all="ignore"):  # scipy warns while diagnosing singularity
-            out = scipy.linalg.solve(A, rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularSystemError(f"implicit Crank-Nicolson system is singular: {exc}") from exc
+    out = _CrankNicolson(H, dt).step(np.asarray(psi, dtype=complex))
     if not np.all(np.isfinite(out)):
         raise SingularSystemError("implicit Crank-Nicolson solve produced non-finite values")
     return out
-
-
-# -- banded fast path --------------------------------------------------------
-
-def _bandwidth(M: np.ndarray) -> int:
-    N = M.shape[0]
-    k = 0
-    for off in range(N - 1, 0, -1):
-        if np.any(M.diagonal(off) != 0) or np.any(M.diagonal(-off) != 0):
-            k = off
-            break
-    return k
-
-
-def _to_banded(M: np.ndarray, k: int) -> np.ndarray:
-    """LAPACK banded storage (2k+1, N) for scipy.linalg.solve_banded."""
-    N = M.shape[0]
-    ab = np.zeros((2 * k + 1, N), dtype=complex)
-    for off in range(-k, k + 1):
-        d = M.diagonal(off)
-        if off >= 0:
-            ab[k - off, off:] = d
-        else:
-            ab[k - off, :off] = d
-    return ab
-
-
-class _CrankNicolson:
-    """Cached propagator for repeated steps with a fixed H and dt.
-
-    Uses a banded solve when H is banded (all finite-difference builds are),
-    otherwise a dense LU factorization.
-    """
-
-    def __init__(self, H: np.ndarray, dt: float):
-        N = H.shape[0]
-        z = 0.5j * dt
-        A = np.eye(N, dtype=complex) + z * H
-        B = np.eye(N, dtype=complex) - z * H
-        k = _bandwidth(H)
-        self.banded = 0 < k <= 8
-        if self.banded:
-            self.k = k
-            self.A_ab = _to_banded(A, k)
-            self.B_diags = [(off, B.diagonal(off).copy()) for off in range(-k, k + 1)]
-            self.N = N
-        else:
-            self.lu = scipy.linalg.lu_factor(A)
-            self.B = B
-
-    def apply_B(self, psi: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(psi)
-        for off, d in self.B_diags:
-            if off == 0:
-                out += d * psi
-            elif off > 0:
-                out[:-off] += d * psi[off:]
-            else:
-                out[-off:] += d * psi[:off]
-        return out
-
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        if self.banded:
-            rhs = self.apply_B(psi)
-            return scipy.linalg.solve_banded((self.k, self.k), self.A_ab, rhs)
-        return scipy.linalg.lu_solve(self.lu, self.B @ psi)
-
-
-class _BandedOp:
-    """Banded matrix-vector product, for cheap per-step derivative action."""
-
-    def __init__(self, M: np.ndarray):
-        k = max(_bandwidth(M), 1)
-        self.diags = [(off, M.diagonal(off).copy()) for off in range(-k, k + 1)]
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for off, d in self.diags:
-            if off == 0:
-                out += d * u
-            elif off > 0:
-                out[:-off] += d * u[off:]
-            else:
-                out[-off:] += d * u[:off]
-        return out
 
 
 # -- continuity fields -------------------------------------------------------
@@ -193,26 +129,27 @@ def run(
 ) -> EvolutionTrace:
     """Propagate both fields to time T and record Q(t) and the continuity defect.
 
-    psi1 steps forward with Crank-Nicolson; phi = conj(psi2(-x, t)) satisfies
-    the sign-flipped equation and steps with -dt.  A non-finite state aborts
-    with the last valid step index.
+    psi1 and psi2 step forward as the two columns of one array with a single
+    Crank-Nicolson factorization; T/dt must be a whole number of steps.  A
+    non-finite state aborts with the last valid step index.
     """
     if not (T > 0 and dt > 0):
         raise ParameterError(f"require T > 0 and dt > 0, got T={T}, dt={dt}")
+    ratio = T / dt
+    if not (np.isfinite(ratio) and _is_integer(ratio, 1e-9 * ratio)):
+        raise ParameterError(f"T/dt = {ratio!r} is not a whole number of steps")
     w = np.asarray(eta_weight, dtype=float)
     if w.shape != (grid.N,) or H.shape != (grid.N, grid.N):
         raise DimensionError("weight/H shapes do not match the grid")
     if not (np.all(np.isfinite(psi1_0)) and np.all(np.isfinite(psi2_0))):
         raise ParameterError("initial states must be finite")
-    steps = int(round(T / dt))
+    import scipy.sparse as sp
+
+    steps = round(ratio)
     times = np.arange(steps + 1) * dt
-
-    prop1 = _CrankNicolson(H, dt)
-    prop2 = _CrankNicolson(H, -dt)
-    d1 = _BandedOp(diff_matrix(grid, 1, 2))
-
-    psi1 = np.asarray(psi1_0, dtype=complex).copy()
-    phi = np.conj(np.asarray(psi2_0, dtype=complex)[::-1])
+    prop = _CrankNicolson(H, dt)
+    D1 = sp.csr_matrix(diff_matrix(grid, 1, 2))
+    psi = np.column_stack([psi1_0, psi2_0]).astype(complex)
 
     sl = slice(_EDGE_MARGIN, grid.N - _EDGE_MARGIN)
     Q = np.empty(steps + 1, dtype=complex)
@@ -221,10 +158,11 @@ def run(
     first_fields: list[tuple[np.ndarray, np.ndarray]] = []  # (P, div J) at k=0,1
 
     def record(k: int):
+        psi1, phi = psi[:, 0], np.conj(psi[::-1, 1])
         P = w * phi * psi1
-        J = (w / 1j) * (phi * d1(psi1) - psi1 * d1(phi))
+        J = (w / 1j) * (phi * (D1 @ psi1) - psi1 * (D1 @ phi))
         Q[k] = grid.h * P.sum()
-        window.append((P, d1(J)))
+        window.append((P, D1 @ J))
         if k <= 1:
             first_fields.append(window[-1])
         if len(window) == 3:  # centered d_t at step k-1
@@ -232,25 +170,23 @@ def run(
             defect_max[k - 1] = np.max(np.abs(dPdt + window[1][1])[sl])
             window.pop(0)
 
-    record(0)
-    for k in range(1, steps + 1):
-        psi1 = prop1.step(psi1)
-        phi = prop2.step(phi)
-        if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(phi))):
-            raise NanAbortError(last_valid_step=k - 1)
-        record(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow aborts below
+        record(0)
+        for k in range(1, steps + 1):
+            psi = prop.step(psi)
+            record(k)
+            if not (np.all(np.isfinite(psi)) and np.isfinite(Q[k])):
+                raise NanAbortError(last_valid_step=k - 1)
 
     # one-sided d_t at the trace ends (first-order; excluded from headlines)
-    if steps >= 1:
-        dP0 = (first_fields[1][0] - first_fields[0][0]) / dt
-        defect_max[0] = np.max(np.abs(dP0 + first_fields[0][1])[sl])
-        dPT = (window[-1][0] - window[-2][0]) / dt
-        defect_max[steps] = np.max(np.abs(dPT + window[-1][1])[sl])
+    dP0 = (first_fields[1][0] - first_fields[0][0]) / dt
+    defect_max[0] = np.max(np.abs(dP0 + first_fields[0][1])[sl])
+    dPT = (window[-1][0] - window[-2][0]) / dt
+    defect_max[steps] = np.max(np.abs(dPT + window[-1][1])[sl])
 
-    psi2_final = np.conj(phi[::-1])
     return EvolutionTrace(
         times=times,
         Q=Q,
         continuity_residual=defect_max,
-        final_states=(psi1, psi2_final),
+        final_states=(psi[:, 0].copy(), psi[:, 1].copy()),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr
 from .errors import ConstraintError, ParameterError
-from .operators import CustomPotential, ScarfII
+from .operators import CustomPotential, ScarfII, _is_integer
 
 __all__ = [
     "LevelSet", "RealityCheck",
@@ -25,10 +25,6 @@ __all__ = [
 ]
 
 _DEGENERACY_TOL = 1e-12
-
-
-def _is_integer(v: float, tol: float = 1e-9) -> bool:
-    return abs(v - round(v)) <= tol
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,14 @@ def test_evolve_hermitian_baseline(tmp_path):
     assert len(lines) == 1002
 
 
+def test_evolve_rejects_fractional_step_count():
+    r = run_cli("evolve", "--V=-2*sech(x)^2", "--L", "8", "--N", "100",
+                "--T", "0.0105", "--dt", "0.002")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "whole number of steps" in json.loads(r.stderr)["message"]
+
+
 def test_evolve_flags_mismatched_metric():
     r = run_cli("evolve", "--family", "special-b1", "--A", "2", "--beta", "0.5",
                 "--L", "12", "--N", "240", "--T", "0.2", "--dt", "0.002",

@@ -68,6 +68,22 @@ def test_phi_reduction_matches_forward_field():
     assert agree <= 1e-12
 
 
+def test_run_propagates_psi2_forward_for_non_pt_hamiltonian():
+    # V = -2 sech^2 x + 0.5 i sech^2 x is not PT-symmetric, so phi may not be
+    # stepped at -dt; run must agree with psi2 propagated forward directly
+    g = q.make_grid(16.0, 200)
+    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")))
+    w = np.ones(g.N)
+    psi, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.0, 1.0))
+    tr = evolve.run(H, g, w, psi, psi, 1.0, 1e-3)
+    psi2 = psi
+    for _ in range(1000):
+        psi2 = evolve.step_cn(H, psi2, 1e-3)
+    Q_direct = g.h * np.sum(w * np.conj(psi2[::-1]) * psi2)
+    assert tr.Q[-1] == pytest.approx(Q_direct, rel=1e-10)
+    np.testing.assert_allclose(tr.final_states[1], psi2, rtol=0, atol=1e-10 * np.abs(psi2).max())
+
+
 def test_hermitian_run_conserves_q():
     g = shared.grid(800)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
@@ -210,3 +226,5 @@ def test_run_rejects_bad_spans():
     psi = evolve.gaussian_state(g, 0.0, 0.5)
     with pytest.raises(ParameterError):
         evolve.run(H, g, np.ones(g.N), psi, psi, -1.0, 1e-2)
+    with pytest.raises(ParameterError):  # T/dt = 5.25 is not a whole number of steps
+        evolve.run(H, g, np.ones(g.N), psi, psi, 0.0105, 2e-3)
