@@ -1,4 +1,4 @@
-"""Dense complex non-Hermitian eigensolver and spectrum classification.
+"""Complex non-Hermitian eigensolver (dense LAPACK) and spectrum classification.
 
 Pseudo-Hermitian spectra are real or come in complex-conjugate pairs; the
 classifier tags each eigenvalue accordingly.  Bound states of box-truncated
@@ -34,13 +34,16 @@ class SpectrumReport:
         return self.eigenvalues[mask]
 
 
-def eig(M: np.ndarray, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
-    """All eigenvalues of a dense complex matrix (LAPACK QR iteration).
+def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
+    """All eigenvalues of a complex matrix (LAPACK QR iteration).
 
-    With vectors requested, each returned pair satisfies the backward-error
-    contract ||M v - lambda v|| <= 1e-10 ||M||_F ||v||.
+    A scipy.sparse M is densified here, once, because LAPACK needs the full
+    array.  With vectors requested, each returned pair satisfies the
+    backward-error contract ||M v - lambda v|| <= 1e-10 ||M||_F ||v||.
     """
-    M = np.asarray(M)
+    import scipy.sparse as sp
+
+    M = M.toarray() if sp.issparse(M) else np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterError(f"square matrix required, got shape {M.shape}")
     try:

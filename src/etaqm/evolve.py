@@ -52,11 +52,11 @@ class _CrankNicolson:
     """Crank-Nicolson propagator for a fixed H and dt, factored once.
 
     A = I + (i dt/2) H is held as a sparse LU and B = I - (i dt/2) H as a
-    sparse matrix; a step solves A psi' = B psi.  psi is one field or a
-    stack of fields as columns.
+    sparse matrix; a step solves A psi' = B psi.  H is sparse or dense; psi
+    is one field or a stack of fields as columns.
     """
 
-    def __init__(self, H: np.ndarray, dt: float):
+    def __init__(self, H, dt: float):
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
@@ -73,7 +73,7 @@ class _CrankNicolson:
         return self.lu.solve(self.B @ psi)
 
 
-def step_cn(H: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
+def step_cn(H, psi: np.ndarray, dt: float) -> np.ndarray:
     """One Crank-Nicolson step: (I + i dt/2 H) psi' = (I - i dt/2 H) psi.
 
     dt may be negative.  An exactly singular implicit system, or a solve that
@@ -119,7 +119,7 @@ def continuity_fields(
 
 
 def run(
-    H: np.ndarray,
+    H,
     grid: Grid,
     eta_weight: np.ndarray,
     psi1_0: np.ndarray,
@@ -143,12 +143,11 @@ def run(
         raise DimensionError("weight/H shapes do not match the grid")
     if not (np.all(np.isfinite(psi1_0)) and np.all(np.isfinite(psi2_0))):
         raise ParameterError("initial states must be finite")
-    import scipy.sparse as sp
 
     steps = round(ratio)
     times = np.arange(steps + 1) * dt
     prop = _CrankNicolson(H, dt)
-    D1 = sp.csr_matrix(diff_matrix(grid, 1, 2))
+    D1 = diff_matrix(grid, 1, 2)
     psi = np.column_stack([psi1_0, psi2_0]).astype(complex)
 
     sl = slice(_EDGE_MARGIN, grid.N - _EDGE_MARGIN)

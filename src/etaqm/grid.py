@@ -1,4 +1,4 @@
-"""Uniform Dirichlet mesh on [-L, L] and dense finite-difference matrices.
+"""Uniform Dirichlet mesh on [-L, L] and sparse banded finite-difference matrices.
 
 Endpoints are excluded: psi(-L) = psi(L) = 0, so the N interior points carry
 the whole state.  Bound states of the target potentials decay exponentially,
@@ -85,14 +85,17 @@ def fornberg_weights(z: float, nodes: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def diff_matrix(grid: Grid, order: int, accuracy: int = 2) -> np.ndarray:
-    """Dense N x N derivative matrix with Dirichlet-consistent closures.
+def diff_matrix(grid: Grid, order: int, accuracy: int = 2):
+    """Sparse (CSR) N x N derivative matrix with Dirichlet-consistent closures.
 
-    Interior rows use centered stencils (antisymmetric for order 1, symmetric
-    for order 2).  Rows whose centered stencil would reach past the boundary
-    nodes use biased stencils of matching accuracy; the known zero boundary
-    values at +-L are folded in (their columns are dropped).
+    Interior rows share one centered stencil (antisymmetric for order 1,
+    symmetric for order 2).  Rows whose centered stencil would reach past the
+    boundary nodes use biased stencils of matching accuracy; the known zero
+    boundary values at +-L are folded in (their columns are dropped).  The
+    bandwidth is 1 at accuracy 2 and 4 at accuracy 4 (the closures).
     """
+    import scipy.sparse as sp
+
     if order not in (1, 2):
         raise ParameterError(f"derivative order must be 1 or 2, got {order}")
     if accuracy not in (2, 4):
@@ -105,23 +108,29 @@ def diff_matrix(grid: Grid, order: int, accuracy: int = 2) -> np.ndarray:
     # antisymmetric and D2 exactly symmetric).
     radius = (order + accuracy - 1) // 2
     centered = 2 * radius + 1
-    M = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        lo, hi = j - radius, j + radius
-        if lo >= -1 and hi <= N:
-            ks = list(range(lo, hi + 1))
-        else:
-            # biased closure: one extra node restores the centered accuracy
-            width = centered + 1
-            lo = max(-1, min(j - radius, N + 1 - width))
-            ks = list(range(lo, lo + width))
-        offsets = np.array([(k - j) * h for k in ks])
-        w = fornberg_weights(0.0, offsets, order)
-        for k, wk in zip(ks, w):
-            if 0 <= k < N:
-                M[j, k] = wk
+    offsets = np.arange(-radius, radius + 1)
+    interior = np.arange(radius - 1, N - radius + 1)  # stencil stays within -1..N
+    rows = [np.repeat(interior, centered)]
+    cols = [(interior[:, None] + offsets).ravel()]
+    vals = [np.tile(fornberg_weights(0.0, offsets * h, order), len(interior))]
+    # biased closures: one extra node restores the centered accuracy
+    width = centered + 1
+    for j in (*range(radius - 1), *range(N - radius + 1, N)):
+        lo = max(-1, min(j - radius, N + 1 - width))
+        ks = np.arange(lo, lo + width)
+        rows.append(np.full(width, j))
+        cols.append(ks)
+        vals.append(fornberg_weights(0.0, (ks - j) * h, order))
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    inside = (cols >= 0) & (cols < N)
+    rows, cols, vals = rows[inside], cols[inside], vals[inside]
 
-    # Enforce exact parity symmetry; a no-op beyond rounding for a correct build.
+    # Enforce exact parity symmetry, M -> 0.5 (M + sign P M P), by summing each
+    # entry with its mirror image; a no-op beyond rounding for a correct build.
     sign = 1.0 if order == 2 else -1.0
-    M = 0.5 * (M + sign * M[::-1, ::-1])
+    mirrored = (np.concatenate([rows, N - 1 - rows]), np.concatenate([cols, N - 1 - cols]))
+    M = sp.coo_array((np.concatenate([vals, sign * vals]).astype(complex), mirrored),
+                     shape=(N, N)).tocsr()
+    M.data *= 0.5
+    M.eliminate_zeros()  # the exactly cancelled diagonal of a centered D1
     return M

@@ -11,6 +11,10 @@ a multiplicative gauge weight exp[-2 beta int_0^x nu], a first-order
 differential operator D1 + i g(x), and a second-order Hermitian operator
 D2 - 2 i a(x) D1 + b(x) with b = -V + i a' - 2 a^2 - delta.
 
+Every operator is local, so each is built as a sparse (CSR) banded matrix;
+only `eigen.eig` makes a dense copy.  The residual checks accept dense or
+sparse operands.
+
 Intertwining (eta H = H^dagger eta) is verified on Gaussian probe states,
 not entrywise: differential operators truncated to a Dirichlet box carry
 O(1) boundary-row defects that have no physical meaning for decaying states.
@@ -32,13 +36,13 @@ __all__ = [
     "GaugeSpec",
     "IdentityEta", "ParityEta", "MultiplicativeEta", "FirstOrderEta", "SecondOrderEta",
     "EtaSpec",
-    "adjoint", "potential_on_grid", "build_hamiltonian", "build_eta",
+    "adjoint", "potential_on_grid", "is_pt_symmetric", "build_hamiltonian", "build_eta",
     "gauge_weight", "gauge_antiderivative", "gaussian_probes",
     "intertwining_residual", "hermiticity_indicators", "eta_plus_minus",
     "susy_pair", "verify_factorization", "FactorizationReport",
 ]
 
-_ODD_TOL = 1e-10
+_SYMMETRY_TOL = 1e-10  # relative, for the grid checks: nu odd and real, V PT-symmetric
 
 
 def _is_integer(v: float, tol: float = 1e-9) -> bool:
@@ -153,8 +157,24 @@ EtaSpec = IdentityEta | ParityEta | MultiplicativeEta | FirstOrderEta | SecondOr
 # Builders
 # ---------------------------------------------------------------------------
 
-def adjoint(M: np.ndarray) -> np.ndarray:
+def adjoint(M):
     return M.conj().T
+
+
+def _diag(v):
+    """Diagonal CSR matrix holding the samples v."""
+    import scipy.sparse as sp
+
+    n = len(v)
+    return sp.csr_array((np.asarray(v, dtype=complex), np.arange(n), np.arange(n + 1)),
+                        shape=(n, n))
+
+
+def _fro(M) -> float:
+    """Frobenius norm of a dense matrix, or of the stored entries of a sparse one."""
+    import scipy.sparse as sp
+
+    return float(np.linalg.norm(M.data if sp.issparse(M) else M))
 
 
 def potential_on_grid(grid: Grid, spec: PotentialSpec) -> np.ndarray:
@@ -175,14 +195,24 @@ def potential_on_grid(grid: Grid, spec: PotentialSpec) -> np.ndarray:
     raise ParameterError(f"unknown potential spec {spec!r}")
 
 
+def is_pt_symmetric(grid: Grid, spec: PotentialSpec) -> bool:
+    """V(-x) == conj V(x) on the mirror-exact grid, to 1e-10 (1 + |V|).
+
+    This is the hypothesis of the generalized continuity law; the gauge term
+    of H_beta is PT-even by itself because nu is real and odd.
+    """
+    Vx = potential_on_grid(grid, spec)
+    return bool(np.all(np.abs(Vx[::-1] - np.conj(Vx)) <= _SYMMETRY_TOL * (1.0 + np.abs(Vx))))
+
+
 def _check_odd_real(grid: Grid, nu: Expr) -> np.ndarray:
     """Samples of nu on the grid, verified real-valued and odd."""
     vals = expr.evaluate_on(nu, grid.points)
     scale = 1.0 + np.abs(vals)
-    if np.any(np.abs(vals.imag) > _ODD_TOL * scale):
+    if np.any(np.abs(vals.imag) > _SYMMETRY_TOL * scale):
         raise OddFunctionError(f"nu = {expr.to_source(nu)} is not real-valued on the grid")
     v = vals.real
-    if np.any(np.abs(v + v[::-1]) > _ODD_TOL * scale):
+    if np.any(np.abs(v + v[::-1]) > _SYMMETRY_TOL * scale):
         raise OddFunctionError(f"nu = {expr.to_source(nu)} is not odd on the grid")
     return v
 
@@ -192,17 +222,17 @@ def build_hamiltonian(
     V: PotentialSpec,
     gauge: GaugeSpec | None = None,
     accuracy: int = 2,
-) -> np.ndarray:
-    """H = -D2 + diag(V), or the gauged H_beta when a GaugeSpec is given."""
+):
+    """CSR H = -D2 + diag(V), or the gauged H_beta when a GaugeSpec is given."""
     D2 = diff_matrix(grid, 2, accuracy)
     Vx = potential_on_grid(grid, V)
-    H = -D2 + np.diag(Vx)
+    H = -D2 + _diag(Vx)
     if gauge is not None and gauge.beta != 0.0:
         b = gauge.beta
         nu = _check_odd_real(grid, gauge.nu)
         nup = expr.evaluate_on(expr.derive(gauge.nu), grid.points).real
         D1 = diff_matrix(grid, 1, accuracy)
-        H = H + (2.0 * b * nu)[:, None] * D1 + np.diag(b * nup - b * b * nu * nu)
+        H = H + _diag(2.0 * b * nu) @ D1 + _diag(b * nup - b * b * nu * nu)
     elif gauge is not None:
         _check_odd_real(grid, gauge.nu)  # beta = 0: still validate the spec
     return H
@@ -231,24 +261,26 @@ def gauge_weight(grid: Grid, beta: float, nu: Expr) -> np.ndarray:
     return np.exp(-2.0 * beta * gauge_antiderivative(grid, nu))
 
 
-def parity_matrix(N: int) -> np.ndarray:
-    P = np.zeros((N, N), dtype=complex)
-    P[np.arange(N), np.arange(N)[::-1]] = 1.0
-    return P
+def parity_matrix(N: int):
+    """CSR permutation (P u)_j = u_{N-1-j}."""
+    import scipy.sparse as sp
+
+    return sp.csr_array((np.ones(N, dtype=complex), np.arange(N - 1, -1, -1), np.arange(N + 1)),
+                        shape=(N, N))
 
 
-def build_eta(grid: Grid, spec: EtaSpec, accuracy: int = 2) -> np.ndarray:
-    """Dense matrix for any of the metric families."""
+def build_eta(grid: Grid, spec: EtaSpec, accuracy: int = 2):
+    """Sparse (CSR) matrix for any of the metric families."""
     N = grid.N
     if isinstance(spec, IdentityEta):
-        return np.eye(N, dtype=complex)
+        return _diag(np.ones(N))
     if isinstance(spec, ParityEta):
         return parity_matrix(N)
     if isinstance(spec, MultiplicativeEta):
-        return np.diag(gauge_weight(grid, spec.beta, spec.nu)).astype(complex)
+        return _diag(gauge_weight(grid, spec.beta, spec.nu))
     if isinstance(spec, FirstOrderEta):
         g = expr.evaluate_on(spec.g, grid.points)
-        return diff_matrix(grid, 1, accuracy) + 1j * np.diag(g)
+        return diff_matrix(grid, 1, accuracy) + _diag(1j * g)
     if isinstance(spec, SecondOrderEta):
         x = grid.points
         a = expr.evaluate_on(spec.a, x).real
@@ -257,7 +289,7 @@ def build_eta(grid: Grid, spec: EtaSpec, accuracy: int = 2) -> np.ndarray:
         b = -Vx + 1j * ap - 2.0 * a * a - spec.delta
         D1 = diff_matrix(grid, 1, accuracy)
         D2 = diff_matrix(grid, 2, accuracy)
-        return D2 + (-2j * a)[:, None] * D1 + np.diag(b)
+        return D2 + _diag(-2j * a) @ D1 + _diag(b)
     raise ParameterError(f"unknown eta spec {spec!r}")
 
 
@@ -286,25 +318,33 @@ _PROBE_MARGIN = 8  # rows next to the boundary excluded from probe residuals
 
 
 def _probe_residual(defect_apply, scale: float, probes, margin: int = _PROBE_MARGIN) -> float:
+    """max_w ||defect w|| / (scale ||w||) over the rows inside the margin.
+
+    An exactly zero defect counts as 0 whatever the scale; a nonzero defect
+    over a zero scale is inf.
+    """
     worst = 0.0
     for w in probes:
-        r = defect_apply(w)
-        num = np.linalg.norm(r[margin:-margin])
-        worst = max(worst, num / (scale * np.linalg.norm(w)))
+        num = np.linalg.norm(defect_apply(w)[margin:-margin])
+        if num == 0.0:
+            continue
+        den = scale * np.linalg.norm(w)
+        worst = max(worst, num / den if den > 0 else np.inf)
     return worst
 
 
-def intertwining_residual(eta: np.ndarray, H: np.ndarray, probes) -> float:
+def intertwining_residual(eta, H, probes) -> float:
     """max_w ||(eta H - H^dagger eta) w|| / (||eta H||_F ||w|| / sqrt(N)).
 
     Entries of the defect vector within a small boundary band are discarded:
     Dirichlet truncation gives differential eta matrices O(1) defects in the
-    first/last rows that are irrelevant for decaying states.
+    first/last rows that are irrelevant for decaying states.  eta and H may
+    be dense or sparse.
     """
     if eta.shape != H.shape or eta.shape[0] != eta.shape[1]:
         raise DimensionError(f"shape mismatch: eta {eta.shape}, H {H.shape}")
     Hd = adjoint(H)
-    scale = np.linalg.norm(eta @ H, "fro") / np.sqrt(H.shape[0])
+    scale = _fro(eta @ H) / np.sqrt(H.shape[0])
 
     def defect(w):
         return eta @ (H @ w) - Hd @ (eta @ w)
@@ -312,20 +352,20 @@ def intertwining_residual(eta: np.ndarray, H: np.ndarray, probes) -> float:
     return _probe_residual(defect, scale, probes)
 
 
-def hermiticity_indicators(eta: np.ndarray, probes) -> tuple[float, float]:
+def hermiticity_indicators(eta, probes) -> tuple[float, float]:
     """Probe-normalized sizes of (eta - eta^dagger) and (eta + eta^dagger).
 
     Returns (hermitian_defect, anti_hermitian_defect); a Hermitian operator
     has small first component, an anti-Hermitian one a small second.
     """
     ed = adjoint(eta)
-    scale = np.linalg.norm(eta, "fro") / np.sqrt(eta.shape[0])
+    scale = _fro(eta) / np.sqrt(eta.shape[0])
     herm = _probe_residual(lambda w: eta @ w - ed @ w, scale, probes)
     anti = _probe_residual(lambda w: eta @ w + ed @ w, scale, probes)
     return herm, anti
 
 
-def eta_plus_minus(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eta_plus_minus(eta):
     """(eta + eta^dagger, eta - eta^dagger): the Hermitian part intertwines
     strictly, the anti-Hermitian part in the weak sense; their sum is 2 eta."""
     if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
@@ -359,7 +399,7 @@ def verify_factorization(
     a: Expr,
     gamma: float,
     r: Expr,
-    eta_matrix: np.ndarray,
+    eta_matrix,
     probes=None,
     accuracy: int = 2,
 ) -> FactorizationReport:
@@ -387,10 +427,10 @@ def verify_factorization(
     riccati = float(np.max(defect[~near_zero])) if (~near_zero).any() else float("nan")
 
     D1 = diff_matrix(grid, 1, accuracy)
-    O = D1 + np.diag(rv - 1j * av)
-    Od = -D1 + np.diag(rv + 1j * av)
+    O = D1 + _diag(rv - 1j * av)
+    Od = -D1 + _diag(rv + 1j * av)
     if probes is None:
         probes = gaussian_probes(grid)
-    scale = np.linalg.norm(eta_matrix, "fro") / np.sqrt(grid.N)
+    scale = _fro(eta_matrix) / np.sqrt(grid.N)
     resid = _probe_residual(lambda w: eta_matrix @ w + Od @ (O @ w), scale, probes)
     return FactorizationReport(probe_residual=resid, riccati_defect=riccati)

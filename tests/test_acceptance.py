@@ -229,7 +229,7 @@ def test_criterion_10_property_suites():
     conv_ok = 3.0 <= ratios[2] <= 5.0 and 10.0 <= ratios[4] <= 22.0
 
     # trace equals eigenvalue sum
-    M = shared.hamiltonian("scarf2", 2.0, 1.0, 800)
+    M = shared.hamiltonian("scarf2", 2.0, 1.0, 800).toarray()
     vals = shared.eig_values("scarf2", 2.0, 1.0, 800)
     trace_ok = abs(vals.sum() - np.trace(M)) <= 1e-8 * abs(np.trace(M))
 

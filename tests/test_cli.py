@@ -175,6 +175,33 @@ def test_evolve_gauge_weight_conserves_for_eigenstate():
     assert out["flags"] == []
 
 
+def test_evolve_flags_non_pt_potential():
+    r = run_cli("evolve", "--V", "-2*sech(x)^2 + 0.5*i*sech(x)^2", "--weight", "unit",
+                "--N", "200", "--T", "1")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["max_continuity_defect"] > 0.1  # the law does not hold here
+    assert out["flags"] == ["non-pt-potential"]
+
+
+def test_verify_eta_parity_minus_part_is_exactly_zero_without_warnings():
+    r = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "etaqm.cli", "verify-eta", "--eta", "parity",
+         "--family", "special-b1", "--A", "2", "--N", "200"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0 and r.stderr == ""
+    assert json.loads(r.stdout)["eta_minus_residual"] == 0
+
+
+def test_importing_the_cli_loads_no_scipy_sparse():
+    code = ("import sys, etaqm.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0
+    assert r.stdout.strip() == "[]"
+
+
 def test_unknown_flag_reports_json_error():
     r = run_cli("spectrum", "--nonsense", "1")
     assert r.returncode == 2

@@ -41,7 +41,7 @@ def test_eigenvector_backward_error_contract():
 
 
 def test_eigenvalue_sum_matches_trace():
-    M = shared.hamiltonian("scarf2", 2.0, 1.0, 800)
+    M = shared.hamiltonian("scarf2", 2.0, 1.0, 800).toarray()
     vals = shared.eig_values("scarf2", 2.0, 1.0, 800)
     tr = np.trace(M)
     assert abs(vals.sum() - tr) <= 1e-8 * abs(tr)

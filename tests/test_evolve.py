@@ -169,7 +169,7 @@ def test_orthogonality_decay_between_distinct_levels():
 
 def test_stationary_real_state_carries_no_current():
     g = q.make_grid(10.0, 400)
-    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
+    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2"))).toarray()
     vals, vecs = np.linalg.eigh(H.real)
     u = vecs[:, 0].astype(complex)
     dpsi = -1j * (H @ u)

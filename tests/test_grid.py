@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etaqm import diff_matrix, make_grid
 from etaqm.errors import ParameterError
@@ -44,7 +46,7 @@ def test_fornberg_reproduces_classic_stencils():
 
 def test_center_row_of_small_second_derivative():
     g = make_grid(1.0, 3)  # h = 0.5
-    D2 = diff_matrix(g, 2, 2)
+    D2 = diff_matrix(g, 2, 2).toarray()
     np.testing.assert_allclose(D2[1].real, [4.0, -8.0, 4.0], atol=1e-12)
 
 
@@ -57,8 +59,8 @@ def test_first_derivative_interior_row_sums_vanish():
 
 def test_interior_stencil_symmetry():
     g = make_grid(5.0, 64)
-    D1 = diff_matrix(g, 1, 2)
-    D2 = diff_matrix(g, 2, 2)
+    D1 = diff_matrix(g, 1, 2).toarray()
+    D2 = diff_matrix(g, 2, 2).toarray()
     inner = slice(2, -2)
     np.testing.assert_allclose(D1[inner, inner], -D1[inner, inner].T, atol=1e-12)
     np.testing.assert_allclose(D2[inner, inner], D2[inner, inner].T, atol=1e-12)
@@ -68,7 +70,7 @@ def test_parity_symmetry_is_exact():
     g = make_grid(6.0, 81)
     for order, sign in ((1, -1.0), (2, 1.0)):
         for acc in (2, 4):
-            D = diff_matrix(g, order, acc)
+            D = diff_matrix(g, order, acc).toarray()
             np.testing.assert_array_equal(D, sign * D[::-1, ::-1])
 
 
@@ -107,3 +109,45 @@ def test_diff_matrix_rejects_bad_orders():
         diff_matrix(g, 3, 2)
     with pytest.raises(ParameterError):
         diff_matrix(g, 1, 6)
+
+
+def _row_by_row_reference(g, order, accuracy):
+    """Dense derivative matrix built one Fornberg call per row: the oracle
+    that the banded diff_matrix must reproduce bit for bit."""
+    N, h = g.N, g.h
+    radius = (order + accuracy - 1) // 2
+    centered = 2 * radius + 1
+    M = np.zeros((N, N), dtype=complex)
+    for j in range(N):
+        lo, hi = j - radius, j + radius
+        if lo >= -1 and hi <= N:
+            ks = list(range(lo, hi + 1))
+        else:
+            width = centered + 1
+            lo = max(-1, min(j - radius, N + 1 - width))
+            ks = list(range(lo, lo + width))
+        w = fornberg_weights(0.0, np.array([(k - j) * h for k in ks]), order)
+        for k, wk in zip(ks, w):
+            if 0 <= k < N:
+                M[j, k] = wk
+    sign = 1.0 if order == 2 else -1.0
+    return 0.5 * (M + sign * M[::-1, ::-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(3, 64),
+    L=st.floats(0.25, 64.0, allow_nan=False, allow_infinity=False),
+    order=st.sampled_from([1, 2]),
+    accuracy=st.sampled_from([2, 4]),
+)
+def test_banded_build_matches_row_by_row_reference(N, L, order, accuracy):
+    g = make_grid(L, N)
+    D = diff_matrix(g, order, accuracy)
+    assert D.format == "csr"
+    dense = D.toarray()
+    np.testing.assert_array_equal(dense, _row_by_row_reference(g, order, accuracy))
+    sign = 1.0 if order == 2 else -1.0
+    np.testing.assert_array_equal(dense, sign * dense[::-1, ::-1])
+    coo = D.tocoo()
+    assert np.max(np.abs(coo.row - coo.col)) <= (1 if accuracy == 2 else 4)

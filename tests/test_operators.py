@@ -44,12 +44,34 @@ def test_free_particle_box_ground_level():
 
 def test_special_b1_diagonal_entries():
     g = q.make_grid(6.0, 41)
-    H = q.build_hamiltonian(g, q.SpecialB1(2.0))
+    H = q.build_hamiltonian(g, q.SpecialB1(2.0)).toarray()
     x = g.points
     sech, tanh = 1 / np.cosh(x), np.tanh(x)
     expected = -7.0 * sech**2 + 5j * sech * tanh
-    D2 = q.diff_matrix(g, 2, 2)
+    D2 = q.diff_matrix(g, 2, 2).toarray()
     np.testing.assert_allclose(np.diag(H), np.diag(-D2) + expected, atol=1e-13)
+
+
+def test_sparse_builders_repeat_the_dense_arithmetic():
+    # CSR assembly must not change a single entry of H_beta or of eta_2
+    g = q.make_grid(10.0, 101)
+    x, b = g.points, 0.7
+    pot = q.SpecialB1(2.0)
+    V = ops.potential_on_grid(g, pot)
+    nu = expr.evaluate_on(TANH, x).real
+    nup = expr.evaluate_on(expr.derive(TANH), x).real
+    a_expr = expr.parse("-2.5*sech(x)")
+    a = expr.evaluate_on(a_expr, x).real
+    ap = expr.evaluate_on(expr.derive(a_expr), x).real
+    for acc in (2, 4):
+        D1, D2 = (q.diff_matrix(g, k, acc).toarray() for k in (1, 2))
+        Hb = -D2 + np.diag(V) + (2.0 * b * nu)[:, None] * D1 + np.diag(b * nup - b * b * nu * nu)
+        H = q.build_hamiltonian(g, pot, q.GaugeSpec(b, TANH), acc)
+        assert H.format == "csr"
+        np.testing.assert_array_equal(H.toarray(), Hb)
+        eta2 = D2 + (-2j * a)[:, None] * D1 + np.diag(-V + 1j * ap - 2.0 * a * a - 0.25)
+        eta = q.build_eta(g, q.SecondOrderEta(a_expr, 0.0, 0.25, pot), acc)
+        np.testing.assert_array_equal(eta.toarray(), eta2)
 
 
 def test_gauge_requires_odd_real_nu():
@@ -103,14 +125,14 @@ def test_multiplicative_weight_matches_closed_form():
     # int_0^x tanh = ln cosh, so the beta = 1/2 weight is sech x up to C h^2
     for N in (400, 800):
         g = shared.grid(N)
-        w = np.diag(q.build_eta(g, q.MultiplicativeEta(0.5, TANH))).real
+        w = np.diag(q.build_eta(g, q.MultiplicativeEta(0.5, TANH)).toarray()).real
         err = np.max(np.abs(w - 1 / np.cosh(g.points)))
         assert err <= 0.2 * g.h**2
 
 
 def test_parity_squares_to_identity():
     g = q.make_grid(3.0, 24)
-    P = q.build_eta(g, q.ParityEta())
+    P = q.build_eta(g, q.ParityEta()).toarray()
     np.testing.assert_array_equal(P @ P, np.eye(24))
     assert np.array_equal(P, P.conj().T)
 
@@ -136,7 +158,7 @@ def test_second_order_eta_hermitian_on_probes():
 
 def test_identity_eta_is_identity():
     g = q.make_grid(2.0, 11)
-    np.testing.assert_array_equal(q.build_eta(g, q.IdentityEta()), np.eye(11))
+    np.testing.assert_array_equal(q.build_eta(g, q.IdentityEta()).toarray(), np.eye(11))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +206,43 @@ def test_residual_requires_matching_shapes():
         ops.intertwining_residual(np.eye(8, dtype=complex), H, [np.ones(16)])
 
 
+def test_residuals_agree_for_dense_and_sparse_operands():
+    g = q.make_grid(12.0, 300)
+    H = q.build_hamiltonian(g, q.FirstOrderFamily(2.0), accuracy=4)
+    eta = q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")), accuracy=4)
+    probes = ops.gaussian_probes(g)
+    sparse = (ops.intertwining_residual(eta, H, probes), *ops.hermiticity_indicators(eta, probes))
+    dense = (ops.intertwining_residual(eta.toarray(), H.toarray(), probes),
+             *ops.hermiticity_indicators(eta.toarray(), probes))
+    np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-15)
+
+
+def test_zero_scale_gives_zero_for_zero_defect_and_inf_otherwise():
+    g = q.make_grid(8.0, 120)
+    probes = ops.gaussian_probes(g)
+    minus = ops.eta_plus_minus(q.build_eta(g, q.ParityEta()))[1]  # the zero matrix
+    H = q.build_hamiltonian(g, q.SpecialB1(2.0))
+    with np.errstate(all="raise"):
+        assert ops.intertwining_residual(minus, H, probes) == 0.0
+        assert ops.hermiticity_indicators(minus, probes) == (0.0, 0.0)
+        rep = ops.verify_factorization(g, expr.parse("-2.5*sech(x)"), 0.0,
+                                       expr.parse("tanh(x)/2"), minus, probes)
+    assert rep.probe_residual == np.inf
+
+
+@pytest.mark.parametrize("spec,pt", [
+    (q.CustomPotential(expr.parse("-2*sech(x)^2")), True),
+    (q.SpecialB1(2.0), True),
+    (q.scarf2_potential(2.0, 1.0), True),
+    (q.FirstOrderFamily(2.0, 0.3), True),
+    (q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")), False),
+    (q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.1*tanh(x)")), False),
+])
+def test_pt_symmetry_of_potentials(spec, pt):
+    for N in (200, 201):
+        assert ops.is_pt_symmetric(q.make_grid(16.0, N), spec) is pt
+
+
 # ---------------------------------------------------------------------------
 # eta decomposition
 # ---------------------------------------------------------------------------
@@ -205,7 +264,7 @@ def test_eta_plus_minus_exact_hermiticity_and_reconstruction():
 
 def test_anti_hermitian_input_goes_to_minus_part():
     g = shared.grid(800)
-    eta = q.build_eta(g, q.FirstOrderEta(expr.parse("1.5*sech(x)")))
+    eta = q.build_eta(g, q.FirstOrderEta(expr.parse("1.5*sech(x)"))).toarray()
     plus, minus = ops.eta_plus_minus(eta)
     assert np.max(np.abs(plus)) <= 1e-12        # eta+ ~ 0
     np.testing.assert_allclose(minus, 2 * eta, atol=1e-12)
