@@ -204,6 +204,7 @@ def cmd_spectrum(args) -> int:
             else:
                 devs.append(float("inf"))
         out["deviation"] = devs
+    out["diagnostics"] = {"solver": report.solver}
     emit_report(dump_json(out) + "\n", args.out)
     return EXIT_OK
 
@@ -385,7 +386,8 @@ def cmd_evolve(args) -> int:
         flags.append("non-pt-potential")  # the conservation law assumes PT-symmetric V
 
     if args.state_index is not None:
-        report = eigen.eig(H, want_vectors=True)  # eigenvalues sorted by (Re, Im)
+        # sorted by (Re, Im); an exact conjugate pair lists -Im first
+        report = eigen.eig(H, want_vectors=True)
         psi0 = report.vectors[:, args.state_index]
         psi0, _ = inner.pseudo_normalize(grid, w, psi0)
     else:

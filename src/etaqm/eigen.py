@@ -1,4 +1,5 @@
-"""Complex non-Hermitian eigensolver (dense LAPACK) and spectrum classification.
+"""Non-Hermitian eigensolver (dense LAPACK, real for PT-symmetric input) and
+spectrum classification.
 
 Pseudo-Hermitian spectra are real or come in complex-conjugate pairs; the
 classifier tags each eigenvalue accordingly.  Bound states of box-truncated
@@ -15,49 +16,101 @@ import scipy.linalg
 
 from .errors import ParameterError, SolverError
 
-__all__ = ["SpectrumReport", "eig", "classify_spectrum", "converged_bound_states", "BoundStates"]
+__all__ = ["SpectrumReport", "eig", "pt_real_basis", "classify_spectrum", "converged_bound_states",
+           "BoundStates"]
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues sorted by (Re, Im), optional eigenvectors (columns), and
-    the real / pair-member / unpaired classification."""
+    """Eigenvalues sorted by (Re, Im), optional eigenvectors (columns), the
+    real / pair-member / unpaired classification, and the solver that ran
+    ("real-pt" or "complex", see `eig`)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray | None
     classification: tuple[str, ...]
     pairing: dict[int, int]
     tol_used: float
+    solver: str
 
     def real_values(self) -> np.ndarray:
         mask = [tag == "real" for tag in self.classification]
         return self.eigenvalues[mask]
 
 
-def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
-    """All eigenvalues of a complex matrix (LAPACK QR iteration).
+# Im R is treated as rounding when max|Im R| <= _FOLD_TOL * max|H|.  Dropping
+# it perturbs each stored entry by at most 8 eps max|H|, which is below the
+# O(N eps ||H||_F) backward error of LAPACK's QR iteration itself.
+_FOLD_TOL = 8 * np.finfo(float).eps
+# Every returned pair satisfies ||H v - lambda v|| <= _BACKWARD_TOL ||H||_F ||v||.
+_BACKWARD_TOL = 1e-10
+_BLOCK = 64  # columns per block when mapping back and checking eigenvectors
 
-    A scipy.sparse M is densified here, once, because LAPACK needs the full
-    array.  With vectors requested, each returned pair satisfies the
-    backward-error contract ||M v - lambda v|| <= 1e-10 ||M||_F ||v||.
+
+def pt_real_basis(n: int):
+    """The unitary CSR S whose columns are invariant under PT.
+
+    P reverses the grid index and T conjugates.  For j < n/2 and
+    m = n - 1 - j the columns are (e_j + e_m)/sqrt(2), then e_mid when n is
+    odd, then i (e_j - e_m)/sqrt(2).  When H commutes with PT, that is
+    H[::-1, ::-1] == conj(H), the folded matrix S^H H S is real.
     """
     import scipy.sparse as sp
 
-    M = M.toarray() if sp.issparse(M) else np.asarray(M)
+    half = n // 2
+    j = np.arange(half)
+    m = n - 1 - j
+    odd = n - half + j
+    mid = np.arange(half, n - half)
+    c = np.sqrt(0.5)
+    rows = np.concatenate([j, m, mid, j, m])
+    cols = np.concatenate([j, j, mid, odd, odd])
+    vals = np.concatenate([np.full(2 * half, c), np.ones(len(mid)),
+                           np.full(half, 1j * c), np.full(half, -1j * c)])
+    return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
+    """All eigenvalues of a square matrix (LAPACK QR iteration), sorted by (Re, Im).
+
+    The Hamiltonians of the paper commute with the antilinear operator PT,
+    so their characteristic polynomial is real and the matrix is unitarily
+    similar to a real one.  `pt_real_basis` gives that similarity: R =
+    S^H M S is formed sparse, in O(nnz).  When max|Im R| is rounding
+    (`_FOLD_TOL` eps max|M|), the dense float64 Re R goes to the real
+    `geev`, about 3-4x faster than the complex one, and the eigenvectors
+    are mapped back as S Y (solver "real-pt").  Real levels then have Im
+    exactly 0, and conjugate pairs are exact conjugates, listed -Im first.
+    Any other matrix takes the complex `geev` on the dense M, unchanged
+    (solver "complex").  A dense M goes through the same test as CSR.
+
+    With vectors requested, every pair is checked against the backward-error
+    contract ||M v - lambda v|| <= 1e-10 ||M||_F ||v||, and SolverError is
+    raised when one misses it.
+    """
+    import scipy.sparse as sp
+
+    if not sp.issparse(M):
+        M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterError(f"square matrix required, got shape {M.shape}")
+    H = sp.csr_array(M)
+    if not np.all(np.isfinite(H.data)):
+        raise ParameterError("matrix entries must be finite")
+    S = pt_real_basis(H.shape[0])
+    R = (S.conj().T @ H @ S).tocsr()
+    scale = np.max(np.abs(H.data), initial=0.0)
     try:
-        if want_vectors:
-            vals, vecs = scipy.linalg.eig(M)
+        if np.max(np.abs(R.data.imag), initial=0.0) <= _FOLD_TOL * scale:
+            solver = "real-pt"
+            vals, vecs = _real_eig(R.real.toarray(order="F"), S, want_vectors)
         else:
-            vals = scipy.linalg.eigvals(M)
-            vecs = None
+            solver = "complex"
+            vals, vecs = _complex_eig(H.toarray(order="F"), want_vectors)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
     if vecs is not None:
-        vecs = vecs[:, order]
+        _check_backward_error(H, vals, vecs)
     tags, pairing = classify_spectrum(vals, tol)
     return SpectrumReport(
         eigenvalues=vals,
@@ -65,7 +118,72 @@ def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
         classification=tuple(tags),
         pairing=pairing,
         tol_used=tol,
+        solver=solver,
     )
+
+
+def _complex_eig(A: np.ndarray, want_vectors: bool):
+    """Eigenpairs of A, which `eig` owns and LAPACK may overwrite."""
+    if want_vectors:
+        vals, vecs = scipy.linalg.eig(A, overwrite_a=True)
+    else:
+        vals, vecs = scipy.linalg.eigvals(A, overwrite_a=True), None
+    del A
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order], None if vecs is None else vecs[:, order]
+
+
+def _real_eig(A: np.ndarray, S, want_vectors: bool):
+    """Eigenpairs of S A S^H for a real Fortran-ordered A that LAPACK may overwrite.
+
+    The real `geev` stores a conjugate pair lambda_k = wr + i wi (wi > 0) as
+    y_k = VR[:, k] + i VR[:, k+1] and y_{k+1} = conj(y_k).  The (Re, Im)
+    ordering and the back-map V = S Y are applied together, one block of
+    columns at a time, after the dense A is released.
+    """
+    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), (A,))
+    n = A.shape[0]
+    flag = int(want_vectors)
+    # the optimal workspace: with the minimum 4n the Hessenberg reduction runs unblocked
+    work, _ = geev_lwork(n, compute_vl=0, compute_vr=flag)
+    lwork = max(int(work), 4 * n, 1)
+    wr, wi, _, vr, info = geev(A, compute_vl=0, compute_vr=flag, lwork=lwork, overwrite_a=1)
+    del A
+    if info != 0:
+        raise SolverError(f"eigensolver did not converge (geev info = {info})")
+    vals = wr + 1j * wi
+    order = np.lexsort((vals.imag, vals.real))
+    if not want_vectors:
+        return vals[order], None
+    k = np.arange(n)
+    first = wi > 0
+    second = np.zeros(n, dtype=bool)
+    second[1:] = first[:-1]
+    re_col = np.where(second, k - 1, k)
+    im_col = np.where(first, k + 1, k)
+    im_sign = np.where(first, 1.0, np.where(second, -1.0, 0.0))
+    vecs = np.empty((n, n), dtype=complex, order="F")
+    for p0 in range(0, n, _BLOCK):
+        ks = order[p0:p0 + _BLOCK]
+        Y = vr[:, re_col[ks]].astype(complex)
+        Y.imag = vr[:, im_col[ks]] * im_sign[ks]
+        vecs[:, p0:p0 + _BLOCK] = S @ Y
+    return vals[order], vecs
+
+
+def _check_backward_error(H, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise SolverError unless ||H v - lambda v|| <= 1e-10 ||H||_F ||v|| for
+    every column, multiplying the sparse H by one block of columns at a time."""
+    bound = _BACKWARD_TOL * float(np.linalg.norm(H.data))
+    bad = []
+    for p0 in range(0, len(vals), _BLOCK):
+        V = vecs[:, p0:p0 + _BLOCK]
+        res = np.linalg.norm(H @ V - V * vals[p0:p0 + _BLOCK], axis=0)
+        bad.extend(p0 + np.flatnonzero(res > bound * np.linalg.norm(V, axis=0)))
+    if bad:
+        raise SolverError(
+            f"{len(bad)} eigenpairs miss the backward-error bound "
+            f"{_BACKWARD_TOL:g} ||H||_F ||v||", unconverged=tuple(int(i) for i in bad))
 
 
 def classify_spectrum(eigs: np.ndarray, tol: float) -> tuple[list[str], dict[int, int]]:

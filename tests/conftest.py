@@ -35,6 +35,8 @@ def _potential(kind: str, p1: float, p2: float) -> ops.PotentialSpec:
         return ops.FirstOrderFamily(p1, p2)
     if kind == "free":
         return ops.CustomPotential(expr.parse("0"))
+    if kind == "non-pt":
+        return ops.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2"))
     raise ValueError(kind)
 
 

@@ -134,6 +134,33 @@ def test_spectrum_byte_identical_reruns(tmp_path):
     assert out_file.read_text() == a.stdout
 
 
+@pytest.mark.parametrize("V,solver", [
+    ("-2*sech(x)^2 - 3*i*sech(x)*tanh(x)", "real-pt"),
+    ("-2*sech(x)^2 + 0.5*i*sech(x)^2", "complex"),
+])
+def test_spectrum_reports_the_solver(V, solver):
+    r = run_cli("spectrum", f"--V={V}", "--L", "10", "--N", "120")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["diagnostics"] == {"solver": solver}
+
+
+def test_evolve_state_index_on_a_conjugate_pair_is_deterministic(tmp_path):
+    # Beyond the reality boundary (V2 = 3 > V1 + 1/4) the two lowest levels
+    # are an exact conjugate pair, listed -Im first.  Under its own metric a
+    # pair member is self-orthogonal, so the run uses the unit weight on the
+    # gauged H, where both members normalize and give different traces.
+    args = ("evolve", "--V=-2*sech(x)^2 - 3*i*sech(x)*tanh(x)", "--beta", "0.5",
+            "--weight", "unit", "--L", "10", "--N", "200", "--T", "0.01", "--dt", "0.001")
+    runs = []
+    for index in ("0", "0", "1"):
+        trace = tmp_path / f"trace{len(runs)}.csv"
+        r = run_cli(*args, "--state-index", index, "--out", str(trace))
+        assert r.returncode == 0
+        runs.append((r.stdout, trace.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] != runs[2][0]
+
+
 def test_evolve_hermitian_baseline(tmp_path):
     trace = tmp_path / "trace.csv"
     r = run_cli("evolve", "--V=-2*sech(x)^2", "--L", "12", "--N", "300",

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as shared
 from etaqm import eigen
-from etaqm.errors import ParameterError
+from etaqm.errors import ParameterError, SolverError
+from etaqm.grid import diff_matrix, make_grid
 
 
 def test_two_by_two_symmetric():
@@ -38,6 +44,95 @@ def test_eigenvector_backward_error_contract():
         v = rep.vectors[:, j]
         res = np.linalg.norm(M @ v - rep.eigenvalues[j] * v)
         assert res <= bound * np.linalg.norm(v)
+
+
+def test_pt_eigenvector_backward_error_contract():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+    M = 0.5 * (A + np.conj(A[::-1, ::-1]))  # commutes with PT
+    rep = eigen.eig(M, want_vectors=True)
+    assert rep.solver == "real-pt"
+    bound = 1e-10 * np.linalg.norm(M, "fro")
+    for j in range(300):
+        v = rep.vectors[:, j]
+        res = np.linalg.norm(M @ v - rep.eigenvalues[j] * v)
+        assert res <= bound * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("pt", [True, False])
+def test_backward_error_check_raises_solver_error(monkeypatch, pt):
+    M = shared.hamiltonian("scarf2", 2.0, 1.0, 40)
+    if not pt:
+        M = M + sp.diags_array(np.linspace(0.0, 1j, 40))
+    monkeypatch.setattr(eigen, "_BACKWARD_TOL", 0.0)
+    with pytest.raises(SolverError) as err:
+        eigen.eig(M, want_vectors=True)
+    assert len(err.value.unconverged) > 0
+    eigen.eig(M)  # values alone are not checked
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 10])
+def test_pt_real_basis_is_unitary_with_pt_invariant_columns(n):
+    S = eigen.pt_real_basis(n).toarray()
+    np.testing.assert_allclose(S.conj().T @ S, np.eye(n), atol=1e-15)
+    np.testing.assert_array_equal(np.conj(S[::-1, :]), S)
+
+
+def _pt_matrix(N, seed, kinetic):
+    """A random PT-symmetric banded matrix: real parity-even kinetic part,
+    V with V[::-1] == conj V, and a real diag(nu) D1 term with nu odd."""
+    rng = np.random.default_rng(seed)
+    if kinetic == "tridiagonal":
+        d = rng.normal(size=N)
+        e = rng.normal(size=N - 1)
+        K = np.diag(d + d[::-1]) + np.diag(e + e[::-1], 1) + np.diag(e + e[::-1], -1)
+    else:
+        K = -diff_matrix(make_grid(rng.uniform(1.0, 8.0), N), 2, 4).toarray().real
+        K /= np.max(np.abs(K))
+    V = rng.normal(size=N) + 1j * rng.normal(size=N)
+    V = 0.5 * (V + np.conj(V[::-1]))
+    nu = rng.normal(size=N)
+    nu = nu - nu[::-1]
+    D1 = diff_matrix(make_grid(1.0, N), 1, 2).toarray().real
+    D1 /= np.max(np.abs(D1))
+    return K + np.diag(V) + np.diag(nu) @ D1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(3, 64),
+    seed=st.integers(0, 2**32 - 1),
+    kinetic=st.sampled_from(["tridiagonal", "accuracy-4"]),
+)
+def test_real_pt_path_matches_complex_eigvals(N, seed, kinetic):
+    M = _pt_matrix(N, seed, kinetic)
+    assert np.array_equal(np.conj(M[::-1, ::-1]), M)
+    rep = eigen.eig(sp.csr_array(M))
+    assert rep.solver == "real-pt"
+    vals = rep.eigenvalues
+    ref = scipy.linalg.eigvals(M)
+    dist = np.abs(vals[:, None] - ref[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    assert np.all(dist[rows, cols] <= 1e-9 * (1 + np.abs(vals[rows])))
+    # real levels are exactly real; a pair is exact conjugates, -Im first
+    assert all(v.imag == 0 for v, tag in zip(vals, rep.classification) if tag == "real")
+    for i in np.flatnonzero(vals.imag < 0):
+        assert vals[i + 1] == np.conj(vals[i])
+    assert np.count_nonzero(vals.imag > 0) == np.count_nonzero(vals.imag < 0)
+
+
+def test_non_pt_input_takes_the_unchanged_complex_path():
+    # V = -2 sech^2 x + 0.5 i sech^2 x: V(-x) != conj V(x)
+    H = shared.hamiltonian("non-pt", 0.0, 0.0, 200)
+    rep = eigen.eig(H)
+    assert rep.solver == "complex"
+    vals = scipy.linalg.eigvals(H.toarray())
+    np.testing.assert_array_equal(rep.eigenvalues, vals[np.lexsort((vals.imag, vals.real))])
+    rep = eigen.eig(H, want_vectors=True)
+    vals, vecs = scipy.linalg.eig(H.toarray())
+    order = np.lexsort((vals.imag, vals.real))
+    np.testing.assert_array_equal(rep.eigenvalues, vals[order])
+    np.testing.assert_array_equal(rep.vectors, vecs[:, order])
 
 
 def test_eigenvalue_sum_matches_trace():
@@ -107,6 +202,13 @@ def test_bound_filter_scarf2_fixture():
 def test_eig_rejects_non_square():
     with pytest.raises(ParameterError):
         eigen.eig(np.zeros((3, 4), dtype=complex))
+
+
+def test_exact_conjugate_pair_lists_minus_im_first():
+    rep = eigen.eig(shared.hamiltonian("scarf2-raw", 2.0, 3.0, 200, 0.5))
+    assert rep.solver == "real-pt"
+    low = rep.eigenvalues[:2]
+    assert low[0].imag < -0.1 and low[1] == np.conj(low[0])
 
 
 def test_reality_beyond_threshold_produces_pair():
