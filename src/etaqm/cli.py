@@ -163,14 +163,22 @@ def levelset_json(levels: models.LevelSet) -> dict:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def bound_filtered(potential, gauge, L: int, N: int, accuracy: int, tol_move: float = 1e-3):
-    """Eigenvalues at N plus the two-grid (N/2 vs N) bound-state filter."""
+def bound_filtered(potential, gauge, L: int, N: int, accuracy: int, tol_move: float = 1e-3,
+                   full: bool = True):
+    """The fine-grid (N) eigenvalues plus the two-grid (N/2 vs N) bound-state filter.
+
+    With `full` the fine report holds all N eigenvalues (dense `eig`);
+    otherwise only those with Re < 0, the filter's candidates.  The coarse
+    grid needs only Re < tol_move: a coarse level within tol_move of a
+    candidate has Re < tol_move, so every decision and kept movement is the
+    one the whole coarse spectrum would give.
+    """
     g_fine = make_grid(L, N)
     g_coarse = make_grid(L, N // 2)
     H_fine = operators.build_hamiltonian(g_fine, potential, gauge, accuracy)
     H_coarse = operators.build_hamiltonian(g_coarse, potential, gauge, accuracy)
-    fine = eigen.eig(H_fine)
-    coarse = eigen.eig(H_coarse)
+    fine = eigen.eig(H_fine) if full else eigen.eig_below(H_fine, 0.0)
+    coarse = eigen.eig_below(H_coarse, tol_move)
     bound = eigen.converged_bound_states(coarse.eigenvalues, fine.eigenvalues, tol_move)
     return fine, bound
 
@@ -295,7 +303,7 @@ def _sweep_row(task) -> tuple[int, dict]:
             potential = models.scarf2_potential(fixed.get("A", 2.0), value)
         else:
             raise ParameterError(f"unknown sweep axis {axis!r}")
-        _, bound = bound_filtered(potential, None, L, N, accuracy)
+        _, bound = bound_filtered(potential, None, L, N, accuracy, full=False)
         tags, _ = eigen.classify_spectrum(bound.values, tol)
         row["max_im"] = float(np.max(np.abs(bound.values.imag))) if len(bound.values) else 0.0
         row["real_count"] = sum(1 for t in tags if t == "real")
@@ -373,6 +381,9 @@ def cmd_evolve(args) -> int:
     potential = potential_from_args(args)
     gauge = gauge_from_args(args)
     grid = grid_from_args(args)
+    if args.state_index is not None and not 0 <= args.state_index < grid.N:
+        raise CliError(EXIT_CONFIG, f"--state-index must lie in [0, {grid.N - 1}], "
+                       f"got {args.state_index}", {"state_index": args.state_index, "N": grid.N})
     H = operators.build_hamiltonian(grid, potential, gauge, args.accuracy)
 
     flags = []
@@ -385,11 +396,17 @@ def cmd_evolve(args) -> int:
     if not operators.is_pt_symmetric(grid, potential):
         flags.append("non-pt-potential")  # the conservation law assumes PT-symmetric V
 
+    diagnostics = None
     if args.state_index is not None:
-        # sorted by (Re, Im); an exact conjugate pair lists -Im first
-        report = eigen.eig(H, want_vectors=True)
+        # sorted by (Re, Im); an exact conjugate pair lists -Im first.  The
+        # Re < 0 levels are the leading part of that order, so the sparse
+        # solve serves any index it covers.
+        report = eigen.eig_below(H, 0.0, want_vectors=True)
+        if args.state_index >= len(report.eigenvalues):
+            report = eigen.eig(H, want_vectors=True)
         psi0 = report.vectors[:, args.state_index]
         psi0, _ = inner.pseudo_normalize(grid, w, psi0)
+        diagnostics = {"solver": report.solver}
     else:
         psi0 = evolve.gaussian_state(grid, args.gauss_x0, args.gauss_sigma, args.gauss_k)
         psi0, _ = inner.pseudo_normalize(grid, w, psi0)
@@ -409,6 +426,8 @@ def cmd_evolve(args) -> int:
         "max_continuity_defect": float(np.max(interior)),
         "flags": flags,
     }
+    if diagnostics is not None:
+        out["diagnostics"] = diagnostics
     emit_report(dump_json(out) + "\n", args.out, trace_csv(trace) if args.out else None)
     return EXIT_OK
 

@@ -1,5 +1,11 @@
-"""Non-Hermitian eigensolver (dense LAPACK, real for PT-symmetric input) and
-spectrum classification.
+"""Non-Hermitian eigensolvers and spectrum classification.
+
+`eig` returns all N eigenvalues by dense LAPACK (the real `geev` for
+PT-symmetric input).  `eig_below` returns only those with Re < top, by
+shift-invert Arnoldi (ARPACK) certified complete by a bound on the numerical
+range, and falls back to `eig` when that would be costly or fails; the CLI
+uses it wherever only the low levels are read: the coarse grid of the
+two-grid filter, the sweep rows and `evolve --state-index`.
 
 Pseudo-Hermitian spectra are real or come in complex-conjugate pairs; the
 classifier tags each eigenvalue accordingly.  Bound states of box-truncated
@@ -16,15 +22,15 @@ import scipy.linalg
 
 from .errors import ParameterError, SolverError
 
-__all__ = ["SpectrumReport", "eig", "pt_real_basis", "classify_spectrum", "converged_bound_states",
-           "BoundStates"]
+__all__ = ["SpectrumReport", "eig", "eig_below", "pt_real_basis", "classify_spectrum",
+           "converged_bound_states", "BoundStates"]
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues sorted by (Re, Im), optional eigenvectors (columns), the
     real / pair-member / unpaired classification, and the solver that ran
-    ("real-pt" or "complex", see `eig`)."""
+    ("real-pt" or "complex", see `eig`; "shift-invert", see `eig_below`)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray | None
@@ -45,6 +51,9 @@ _FOLD_TOL = 8 * np.finfo(float).eps
 # Every returned pair satisfies ||H v - lambda v|| <= _BACKWARD_TOL ||H||_F ||v||.
 _BACKWARD_TOL = 1e-10
 _BLOCK = 64  # columns per block when mapping back and checking eigenvectors
+_K_START = 16  # first number of eigenvalues `eig_below` asks of ARPACK
+_K_FRACTION = 8  # dense eig takes over when k would pass n / _K_FRACTION
+_V0_SEED = 20020606  # seed of the ARPACK start vector
 
 
 def pt_real_basis(n: int):
@@ -70,6 +79,30 @@ def pt_real_basis(n: int):
     return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
+def _as_csr(M):
+    """M as a CSR array, after the checks every solver makes on its input."""
+    import scipy.sparse as sp
+
+    if not sp.issparse(M):
+        M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ParameterError(f"square matrix required, got shape {M.shape}")
+    H = sp.csr_array(M)
+    if not np.all(np.isfinite(H.data)):
+        raise ParameterError("matrix entries must be finite")
+    return H
+
+
+def _pt_fold(H):
+    """(S, Re R) with R = S^H H S when max|Im R| is rounding, else (S, None)."""
+    S = pt_real_basis(H.shape[0])
+    R = (S.conj().T @ H @ S).tocsr()
+    scale = np.max(np.abs(H.data), initial=0.0)
+    if np.max(np.abs(R.data.imag), initial=0.0) <= _FOLD_TOL * scale:
+        return S, R.real
+    return S, None
+
+
 def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
     """All eigenvalues of a square matrix (LAPACK QR iteration), sorted by (Re, Im).
 
@@ -88,22 +121,12 @@ def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
     contract ||M v - lambda v|| <= 1e-10 ||M||_F ||v||, and SolverError is
     raised when one misses it.
     """
-    import scipy.sparse as sp
-
-    if not sp.issparse(M):
-        M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ParameterError(f"square matrix required, got shape {M.shape}")
-    H = sp.csr_array(M)
-    if not np.all(np.isfinite(H.data)):
-        raise ParameterError("matrix entries must be finite")
-    S = pt_real_basis(H.shape[0])
-    R = (S.conj().T @ H @ S).tocsr()
-    scale = np.max(np.abs(H.data), initial=0.0)
+    H = _as_csr(M)
+    S, R = _pt_fold(H)
     try:
-        if np.max(np.abs(R.data.imag), initial=0.0) <= _FOLD_TOL * scale:
+        if R is not None:
             solver = "real-pt"
-            vals, vecs = _real_eig(R.real.toarray(order="F"), S, want_vectors)
+            vals, vecs = _real_eig(R.toarray(order="F"), S, want_vectors)
         else:
             solver = "complex"
             vals, vecs = _complex_eig(H.toarray(order="F"), want_vectors)
@@ -111,6 +134,10 @@ def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
     if vecs is not None:
         _check_backward_error(H, vals, vecs)
+    return _report(vals, vecs, tol, solver)
+
+
+def _report(vals: np.ndarray, vecs, tol: float, solver: str) -> SpectrumReport:
     tags, pairing = classify_spectrum(vals, tol)
     return SpectrumReport(
         eigenvalues=vals,
@@ -120,6 +147,102 @@ def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
         tol_used=tol,
         solver=solver,
     )
+
+
+def _numerical_range_box(H) -> tuple[float, float]:
+    """(lo, b) with lo <= Re z and |Im z| <= b for every z in the numerical
+    range of the CSR H, hence for every eigenvalue.
+
+    Re z lies in the spectrum of the Hermitian part (H + H^H)/2, which
+    Gershgorin bounds below by min_i (Re H_ii - sum_{j != i} |Hh_ij|).  Im z
+    lies in that of the anti-Hermitian part (H - H^H)/2, a normal matrix
+    whose spectral radius is at most its largest absolute row sum.  O(nnz).
+    """
+    Hc = H.conj().T
+    herm = (0.5 * (H + Hc)).tocsr()
+    anti = (0.5 * (H - Hc)).tocsr()
+    diag = herm.diagonal().real
+    off = np.asarray(abs(herm).sum(axis=1)).ravel() - np.abs(diag)
+    lo = float(np.min(diag - off))
+    b = float(np.max(np.asarray(abs(anti).sum(axis=1)).ravel(), initial=0.0))
+    return lo, b
+
+
+def eig_below(M, top: float, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
+    """Every eigenvalue with Re lambda < top, sorted by (Re, Im), by
+    shift-invert Arnoldi (ARPACK) with a completeness certificate.
+
+    `_numerical_range_box` puts every eigenvalue in Re >= lo, |Im| <= b, so
+    the ones wanted lie in the box [lo, top] x [-b, b] and in the disc of
+    radius r about its centre c.  `eigs(..., sigma=c)` returns the k
+    eigenvalues nearest to c; once the farthest of them lies outside that
+    disc, no eigenvalue with Re < top is missing.  k starts at `_K_START`
+    and doubles until that holds.  A PT-symmetric M is solved as the real
+    R = S^H M S of `eig` (exact-real levels, exact conjugate pairs), any
+    other M as it is.  The start vector is fixed, so the result is the same
+    on every call.
+
+    When k would pass n / `_K_FRACTION`, ARPACK does not converge, or a
+    vector misses the backward-error contract of `eig`, the dense `eig` runs
+    instead and its pairs are filtered to Re < top; the report's `solver`
+    then names the dense solver, else it is "shift-invert" (also when the
+    box is empty because top <= lo).  Tags and
+    pairing follow `classify_spectrum` on the pairs returned.
+    """
+    H = _as_csr(M)
+    n = H.shape[0]
+    lo, b = _numerical_range_box(H)
+    if not top > lo:  # no eigenvalue has Re < lo
+        return _report(np.empty(0, dtype=complex),
+                       np.empty((n, 0), dtype=complex) if want_vectors else None, tol,
+                       "shift-invert")
+    c = 0.5 * (lo + top)
+    # slack for rounding in lo, b and the Ritz values
+    r = np.hypot(0.5 * (top - lo), b) * (1 + 1e-9)
+    found = _shift_invert(H, c, r, want_vectors)
+    if found is not None and want_vectors:
+        try:
+            _check_backward_error(H, *found)
+        except SolverError:
+            found = None
+    if found is None:
+        rep = eig(H, want_vectors=want_vectors, tol=tol)
+        keep = rep.eigenvalues.real < top
+        vecs = rep.vectors[:, keep] if want_vectors else None
+        return _report(rep.eigenvalues[keep], vecs, tol, rep.solver)
+    vals, vecs = found
+    idx = np.flatnonzero(vals.real < top)
+    idx = idx[np.lexsort((vals[idx].imag, vals[idx].real))]
+    return _report(vals[idx], vecs[:, idx] if want_vectors else None, tol, "shift-invert")
+
+
+def _shift_invert(H, c: float, r: float, want_vectors: bool):
+    """(values, vectors) of every eigenvalue of H within distance r of the
+    real shift c (and possibly more), or None when that needs
+    k > n / _K_FRACTION or ARPACK fails."""
+    from scipy.sparse.linalg import ArpackError, eigs
+
+    n = H.shape[0]
+    S, R = _pt_fold(H)
+    A = H if R is None else R
+    # A fixed start vector keeps every call identical.  It is generic, not
+    # ones: an H that commutes with parity keeps an even vector's Krylov
+    # space even, so the odd levels would be found only through rounding.
+    v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n).astype(A.dtype)
+    k = _K_START
+    while k <= n / _K_FRACTION:
+        try:
+            out = eigs(A, k=k, sigma=c, which="LM", v0=v0, tol=0,
+                       return_eigenvectors=want_vectors)
+        except (ArpackError, RuntimeError):  # ArpackNoConvergence is an ArpackError
+            return None  # or c is an eigenvalue and A - c I is singular
+        vals, vecs = out if want_vectors else (out, None)
+        if np.max(np.abs(vals - c)) > r:
+            if vecs is not None and R is not None:
+                vecs = S @ vecs
+            return vals, vecs
+        k *= 2
+    return None
 
 
 def _complex_eig(A: np.ndarray, want_vectors: bool):
@@ -235,6 +358,10 @@ def converged_bound_states(
     """Filter Re(lambda) < 0 eigenvalues of the fine grid by their movement
     relative to the nearest coarse-grid eigenvalue.
 
+    `coarse` needs to hold only the levels with Re < tol_move: no other can
+    lie within tol_move of a candidate.  With none, every candidate is
+    rejected.
+
     Box continuum states sit at Re >= 0 for the potentials treated here, so
     the sign test plus refinement stability isolates genuine bound states.
     """
@@ -245,6 +372,6 @@ def converged_bound_states(
     cand = cand[order]
     if len(cand) == 0:
         return BoundStates(values=cand, movement=np.empty(0), rejected=cand)
-    move = np.array([np.min(np.abs(coarse - v)) for v in cand])
+    move = np.array([np.min(np.abs(coarse - v), initial=np.inf) for v in cand])
     keep = move < tol_move
     return BoundStates(values=cand[keep], movement=move[keep], rejected=cand[~keep])

@@ -7,7 +7,9 @@ through memoized builders instead of pytest fixtures so that any test module
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,16 @@ from etaqm import operators as ops
 
 GAUGE_BETA = 0.5
 L_BOX = 16.0
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env() -> dict:
+    """The environment for a `python -m etaqm.cli` subprocess, with this
+    checkout's src first on PYTHONPATH: pytest's `pythonpath` setting reaches
+    only the pytest process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ def _report(name: str, ok: bool, detail: str):
 def _cli(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "etaqm.cli", *args],
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout, env=shared.subprocess_env(),
     )
 
 

@@ -7,11 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+import conftest as shared
+
 
 def run_cli(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "etaqm.cli", *args],
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout, env=shared.subprocess_env(),
     )
 
 
@@ -215,7 +217,7 @@ def test_verify_eta_parity_minus_part_is_exactly_zero_without_warnings():
     r = subprocess.run(
         [sys.executable, "-W", "error", "-m", "etaqm.cli", "verify-eta", "--eta", "parity",
          "--family", "special-b1", "--A", "2", "--N", "200"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=shared.subprocess_env(),
     )
     assert r.returncode == 0 and r.stderr == ""
     assert json.loads(r.stdout)["eta_minus_residual"] == 0
@@ -224,7 +226,8 @@ def test_verify_eta_parity_minus_part_is_exactly_zero_without_warnings():
 def test_importing_the_cli_loads_no_scipy_sparse():
     code = ("import sys, etaqm.cli; "
             "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                       env=shared.subprocess_env())
     assert r.returncode == 0
     assert r.stdout.strip() == "[]"
 
@@ -234,3 +237,41 @@ def test_unknown_flag_reports_json_error():
     assert r.returncode == 2
     err = json.loads(r.stderr)
     assert err["code"] == 2
+
+
+@pytest.mark.parametrize("index", ["100", "-1"])
+def test_evolve_rejects_a_state_index_outside_the_spectrum(index):
+    r = run_cli("evolve", "--V=-2*sech(x)^2", "--L", "8", "--N", "50", "--T", "0.01",
+                "--state-index", index)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["code"] == 2 and "[0, 49]" in err["message"]
+    assert err["context"] == {"state_index": int(index), "N": 50}
+
+
+@pytest.mark.parametrize("index,solver", [("0", "shift-invert"), ("5", "real-pt")])
+def test_evolve_state_index_reports_the_solver(index, solver):
+    # special-b1 A=2 has three Re < 0 levels: index 5 needs the dense solve
+    r = run_cli("evolve", "--family", "special-b1", "--A", "2", "--beta", "0.5",
+                "--L", "16", "--N", "800", "--T", "0.01", "--dt", "0.001",
+                "--state-index", index)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["diagnostics"] == {"solver": solver}
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--family", "scarf2", "--A", "2", "--B", "1"),
+    ("sweep", "--axis", "V2", "--start", "2", "--stop", "3", "--step", "1", "--V1", "2"),
+    ("evolve", "--family", "scarf2", "--A", "2", "--B", "1", "--state-index", "1",
+     "--T", "0.01", "--dt", "0.001"),
+], ids=["spectrum", "sweep", "evolve"])
+def test_shift_invert_requests_are_byte_identical_across_runs(args):
+    # at N=400 the coarse grids and the Re < 0 solves of these requests all
+    # run shift-invert, not the dense fallback
+    a = run_cli(*args, "--L", "16", "--N", "400")
+    b = run_cli(*args, "--L", "16", "--N", "400")
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    if args[0] == "evolve":
+        assert json.loads(a.stdout)["diagnostics"] == {"solver": "shift-invert"}

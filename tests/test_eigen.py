@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest as shared
-from etaqm import eigen
+from etaqm import eigen, expr
+from etaqm import operators as ops
 from etaqm.errors import ParameterError, SolverError
 from etaqm.grid import diff_matrix, make_grid
 
@@ -217,3 +218,164 @@ def test_reality_beyond_threshold_produces_pair():
     tags, _ = eigen.classify_spectrum(b.values, 1e-6)
     assert tags.count("pair-member") >= 2
     assert np.max(np.abs(b.values.imag)) >= 1e-3
+
+
+def _laplacian_dominated(N, seed, kinetic, spread):
+    """`_pt_matrix` plus spread times a normalized -D2: still PT-symmetric,
+    with the real spread of a Hamiltonian, so that a few levels lie far below
+    the rest and shift-invert has something to find."""
+    K0 = -diff_matrix(make_grid(1.0, N), 2, 2).toarray().real
+    return _pt_matrix(N, seed, kinetic) + spread * K0 / np.max(np.abs(K0))
+
+
+def _top_between_levels(vals, j):
+    """A cut between the j-th and (j+1)-th distinct real parts (below all for
+    j = -1), so no level sits at rounding distance from it."""
+    re = np.unique(np.round(vals.real, 6))
+    return re[0] - 1.0 if j < 0 else 0.5 * (re[j] + re[j + 1])
+
+
+def _assert_matches_dense_below(rep, dense, top):
+    keep = dense.eigenvalues.real < top
+    ref = dense.eigenvalues[keep]
+    vals = rep.eigenvalues
+    assert len(vals) == len(ref)
+    assert np.all(vals.real < top)
+    assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(len(vals)))
+    dist = np.abs(vals[:, None] - ref[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    assert np.all(dist[rows, cols] <= 1e-9 * (1 + np.abs(vals[rows])))
+    assert sorted(rep.classification) == sorted(np.array(dense.classification)[keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(128, 320),
+    seed=st.integers(0, 2**32 - 1),
+    kinetic=st.sampled_from(["tridiagonal", "accuracy-4"]),
+    spread=st.floats(50.0, 400.0),
+    j=st.integers(-1, 10),
+)
+def test_eig_below_matches_dense_below_the_cut(N, seed, kinetic, spread, j):
+    M = sp.csr_array(_laplacian_dominated(N, seed, kinetic, spread))
+    dense = eigen.eig(M)
+    top = _top_between_levels(dense.eigenvalues, j)
+    rep = eigen.eig_below(M, top)
+    assert rep.solver in ("shift-invert", "real-pt")
+    _assert_matches_dense_below(rep, dense, top)
+    vals = rep.eigenvalues
+    # real levels are exactly real; a pair is exact conjugates, -Im first
+    assert all(v.imag == 0 for v, tag in zip(vals, rep.classification) if tag == "real")
+    for i in np.flatnonzero(vals.imag < 0):
+        assert vals[i + 1] == np.conj(vals[i])
+    assert np.count_nonzero(vals.imag > 0) == np.count_nonzero(vals.imag < 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    N=st.integers(128, 320),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(50.0, 400.0),
+    j=st.integers(0, 6),
+)
+def test_eig_below_vectors_meet_the_backward_error_contract(N, seed, spread, j):
+    M = _laplacian_dominated(N, seed, "accuracy-4", spread)
+    top = _top_between_levels(scipy.linalg.eigvals(M), j)
+    rep = eigen.eig_below(sp.csr_array(M), top, want_vectors=True)
+    assert rep.vectors.shape == (N, len(rep.eigenvalues))
+    bound = 1e-10 * np.linalg.norm(M, "fro")
+    for lam, v in zip(rep.eigenvalues, rep.vectors.T):
+        assert np.linalg.norm(M @ v - lam * v) <= bound * np.linalg.norm(v)
+
+
+def test_eig_below_finds_the_odd_level_of_a_non_pt_even_potential():
+    # V = -6 sech^2 x + 0.5 i sech^2 x is parity-even but not PT-symmetric:
+    # the complex path runs, and the odd level near -1 must be found too.
+    V = ops.CustomPotential(expr.parse("-6*sech(x)^2 + 0.5*i*sech(x)^2"))
+    H = ops.build_hamiltonian(shared.grid(800), V)
+    rep = eigen.eig_below(H, 0.0, want_vectors=True)
+    assert rep.solver == "shift-invert"
+    dense = eigen.eig(H)
+    _assert_matches_dense_below(rep, dense, 0.0)
+    assert len(rep.eigenvalues) == 2
+    v_odd = rep.vectors[:, 1]
+    assert np.linalg.norm(v_odd + v_odd[::-1]) <= 1e-8 * np.linalg.norm(v_odd)
+
+
+def test_eig_below_falls_back_to_dense_for_the_gauged_accuracy_4_grid():
+    # Gershgorin puts the numerical range of this H in a box so wide that the
+    # disc about it holds more than N/8 levels: the dense solver takes over.
+    H = shared.hamiltonian("special-b1", 2.0, 0.0, 400, shared.GAUGE_BETA, 4)
+    rep = eigen.eig_below(H, 1e-3)
+    assert rep.solver == "real-pt"
+    _assert_matches_dense_below(rep, eigen.eig(H), 1e-3)
+
+
+def test_eig_below_with_a_cut_below_the_numerical_range_is_empty():
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, 400)
+    rep = eigen.eig_below(H, -100.0, want_vectors=True)
+    assert len(rep.eigenvalues) == 0 and rep.vectors.shape == (400, 0)
+
+
+def test_eig_below_is_bitwise_deterministic():
+    H = shared.hamiltonian("scarf2-raw", 2.0, 3.0, 800)
+    a = eigen.eig_below(H, 0.0, want_vectors=True)
+    b = eigen.eig_below(H, 0.0, want_vectors=True)
+    assert a.solver == b.solver == "shift-invert"
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert a.classification == b.classification and a.pairing == b.pairing
+
+
+def test_numerical_range_box_holds_every_eigenvalue():
+    for kind, p2, beta, acc in (("scarf2", 1.0, 0.0, 2), ("scarf2-raw", 3.0, 0.0, 2),
+                                ("special-b1", 0.0, shared.GAUGE_BETA, 4)):
+        H = shared.hamiltonian(kind, 2.0, p2, 400, beta, acc)
+        lo, b = eigen._numerical_range_box(H)
+        vals = eigen.eig(H).eigenvalues
+        assert np.all(vals.real >= lo) and np.all(np.abs(vals.imag) <= b)
+
+
+@pytest.mark.parametrize("kind,p2,N,beta,accuracy", [
+    ("scarf2", 1.0, 1600, 0.0, 2),
+    ("scarf2-raw", 3.0, 800, 0.0, 2),
+    ("special-b1", 0.0, 1600, shared.GAUGE_BETA, 4),
+])
+def test_sparse_bound_states_agree_with_dense_on_the_acceptance_fixtures(kind, p2, N, beta,
+                                                                         accuracy):
+    dense = shared.bound_states(kind, 2.0, p2, N, beta, accuracy)
+    fine = eigen.eig_below(shared.hamiltonian(kind, 2.0, p2, N, beta, accuracy), 0.0)
+    coarse = eigen.eig_below(shared.hamiltonian(kind, 2.0, p2, N // 2, beta, accuracy), 1e-3)
+    sparse = eigen.converged_bound_states(coarse.eigenvalues, fine.eigenvalues)
+    assert len(sparse.values) == len(dense.values) > 0
+    np.testing.assert_allclose(sparse.values, dense.values, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sparse.movement, dense.movement, rtol=0, atol=1e-9)
+    assert len(sparse.rejected) == len(dense.rejected)
+
+
+def _no_convergence(*args, **kwargs):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+
+@pytest.mark.parametrize("fault", ["no-convergence", "bad-vectors"])
+def test_eig_below_falls_back_to_dense_when_arpack_fails(monkeypatch, fault):
+    import scipy.sparse.linalg
+
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, 400)
+    if fault == "no-convergence":
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", _no_convergence)
+    else:
+        real = eigen._shift_invert
+
+        def perturbed(*args):
+            vals, vecs = real(*args)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(eigen, "_shift_invert", perturbed)
+    rep = eigen.eig_below(H, 0.0, want_vectors=True)
+    assert rep.solver == "real-pt"
+    dense = eigen.eig(H, want_vectors=True)
+    np.testing.assert_array_equal(rep.eigenvalues, dense.eigenvalues[:3])
+    np.testing.assert_array_equal(rep.vectors, dense.vectors[:, :3])
