@@ -366,15 +366,19 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def trace_csv(trace: evolve.EvolutionTrace) -> str:
-    lines = ["t,re_q,im_q,defect"]
-    for k in range(len(trace.times)):
-        lines.append(",".join([
-            fmt_float(trace.times[k]),
-            fmt_float(trace.Q[k].real),
-            fmt_float(trace.Q[k].imag),
-            fmt_float(trace.continuity_residual[k]),
-        ]))
-    return "\n".join(lines) + "\n"
+    """The trace as CSV, each value as `fmt_float` writes it.
+
+    With every value finite that is `.17g`, which one f-string per row gives
+    without a call per value; otherwise each value goes through `fmt_float`,
+    which quotes the non-finite ones.
+    """
+    cols = [trace.times, trace.Q.real, trace.Q.imag, trace.continuity_residual]
+    rows = zip(*cols)
+    if all(np.all(np.isfinite(c)) for c in cols):
+        lines = [f"{t:.17g},{re:.17g},{im:.17g},{d:.17g}" for t, re, im, d in rows]
+    else:
+        lines = [",".join(map(fmt_float, row)) for row in rows]
+    return "\n".join(["t,re_q,im_q,defect", *lines]) + "\n"
 
 
 def cmd_evolve(args) -> int:
@@ -400,10 +404,8 @@ def cmd_evolve(args) -> int:
     if args.state_index is not None:
         # sorted by (Re, Im); an exact conjugate pair lists -Im first.  The
         # Re < 0 levels are the leading part of that order, so the sparse
-        # solve serves any index it covers.
-        report = eigen.eig_below(H, 0.0, want_vectors=True)
-        if args.state_index >= len(report.eigenvalues):
-            report = eigen.eig(H, want_vectors=True)
+        # solve serves any index it covers; past them one dense solve runs.
+        report = eigen.eig_below(H, 0.0, want_vectors=True, min_count=args.state_index + 1)
         psi0 = report.vectors[:, args.state_index]
         psi0, _ = inner.pseudo_normalize(grid, w, psi0)
         diagnostics = {"solver": report.solver}

@@ -168,9 +168,11 @@ def _numerical_range_box(H) -> tuple[float, float]:
     return lo, b
 
 
-def eig_below(M, top: float, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
+def eig_below(M, top: float, want_vectors: bool = False, tol: float = 1e-6,
+              min_count: int = 0) -> SpectrumReport:
     """Every eigenvalue with Re lambda < top, sorted by (Re, Im), by
-    shift-invert Arnoldi (ARPACK) with a completeness certificate.
+    shift-invert Arnoldi (ARPACK) with a completeness certificate; with
+    `min_count`, at least the `min_count` lowest in that order.
 
     `_numerical_range_box` puts every eigenvalue in Re >= lo, |Im| <= b, so
     the ones wanted lie in the box [lo, top] x [-b, b] and in the disc of
@@ -182,38 +184,45 @@ def eig_below(M, top: float, want_vectors: bool = False, tol: float = 1e-6) -> S
     other M as it is.  The start vector is fixed, so the result is the same
     on every call.
 
-    When k would pass n / `_K_FRACTION`, ARPACK does not converge, or a
-    vector misses the backward-error contract of `eig`, the dense `eig` runs
-    instead and its pairs are filtered to Re < top; the report's `solver`
-    then names the dense solver, else it is "shift-invert" (also when the
-    box is empty because top <= lo).  Tags and
-    pairing follow `classify_spectrum` on the pairs returned.
+    When k would pass n / `_K_FRACTION`, ARPACK does not converge, a vector
+    misses the backward-error contract of `eig`, or fewer than `min_count`
+    levels lie below top, the dense `eig` runs instead and its leading pairs
+    are kept: those with Re < top, or the first `min_count` when that is
+    more.  The report's `solver` then names the dense solver, else it is
+    "shift-invert" (also when the box is empty because top <= lo).  Tags
+    and pairing follow `classify_spectrum` on the pairs returned.
     """
     H = _as_csr(M)
     n = H.shape[0]
+    if not 0 <= min_count <= n:
+        raise ParameterError(f"min_count must lie in [0, {n}], got {min_count}")
     lo, b = _numerical_range_box(H)
-    if not top > lo:  # no eigenvalue has Re < lo
+    found = None
+    if top > lo:
+        c = 0.5 * (lo + top)
+        # slack for rounding in lo, b and the Ritz values
+        r = np.hypot(0.5 * (top - lo), b) * (1 + 1e-9)
+        found = _shift_invert(H, c, r, want_vectors)
+        if found is not None and want_vectors:
+            try:
+                _check_backward_error(H, *found)
+            except SolverError:
+                found = None
+    elif not min_count:  # no eigenvalue has Re < lo
         return _report(np.empty(0, dtype=complex),
                        np.empty((n, 0), dtype=complex) if want_vectors else None, tol,
                        "shift-invert")
-    c = 0.5 * (lo + top)
-    # slack for rounding in lo, b and the Ritz values
-    r = np.hypot(0.5 * (top - lo), b) * (1 + 1e-9)
-    found = _shift_invert(H, c, r, want_vectors)
-    if found is not None and want_vectors:
-        try:
-            _check_backward_error(H, *found)
-        except SolverError:
-            found = None
-    if found is None:
-        rep = eig(H, want_vectors=want_vectors, tol=tol)
-        keep = rep.eigenvalues.real < top
-        vecs = rep.vectors[:, keep] if want_vectors else None
-        return _report(rep.eigenvalues[keep], vecs, tol, rep.solver)
-    vals, vecs = found
-    idx = np.flatnonzero(vals.real < top)
-    idx = idx[np.lexsort((vals[idx].imag, vals[idx].real))]
-    return _report(vals[idx], vecs[:, idx] if want_vectors else None, tol, "shift-invert")
+    if found is not None:
+        vals, vecs = found
+        idx = np.flatnonzero(vals.real < top)
+        if len(idx) >= min_count:
+            idx = idx[np.lexsort((vals[idx].imag, vals[idx].real))]
+            return _report(vals[idx], vecs[:, idx] if want_vectors else None, tol,
+                           "shift-invert")
+    rep = eig(H, want_vectors=want_vectors, tol=tol)
+    keep = max(np.count_nonzero(rep.eigenvalues.real < top), min_count)
+    vecs = rep.vectors[:, :keep].copy() if want_vectors else None  # release the other columns
+    return _report(rep.eigenvalues[:keep], vecs, tol, rep.solver)
 
 
 def _shift_invert(H, c: float, r: float, want_vectors: bool):

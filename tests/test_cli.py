@@ -6,8 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as shared
+from etaqm import cli, eigen, evolve
 
 
 def run_cli(*args, timeout=300):
@@ -275,3 +278,61 @@ def test_shift_invert_requests_are_byte_identical_across_runs(args):
     assert a.stdout == b.stdout
     if args[0] == "evolve":
         assert json.loads(a.stdout)["diagnostics"] == {"solver": "shift-invert"}
+
+
+def _trace_csv_per_value(trace):
+    """The trace CSV with every value formatted by its own `fmt_float` call."""
+    lines = ["t,re_q,im_q,defect"]
+    for k in range(len(trace.times)):
+        lines.append(",".join([
+            cli.fmt_float(trace.times[k]),
+            cli.fmt_float(trace.Q[k].real),
+            cli.fmt_float(trace.Q[k].imag),
+            cli.fmt_float(trace.continuity_residual[k]),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4),
+                min_size=1, max_size=40))
+def test_trace_csv_is_byte_identical_to_the_per_value_format(rows):
+    t, re, im, defect = (np.array(c, dtype=float) for c in zip(*rows))
+    Q = np.empty(len(rows), dtype=complex)
+    Q.real, Q.imag = re, im
+    trace = evolve.EvolutionTrace(times=t, Q=Q, continuity_residual=defect,
+                                  final_states=(t, t))
+    assert cli.trace_csv(trace) == _trace_csv_per_value(trace)
+
+
+@pytest.mark.parametrize("gauge,eig_calls_before", [
+    ((), 1),
+    (("--beta", "0.5", "--accuracy", "4"), 2),
+], ids=["shift-invert", "dense-fallback"])
+def test_evolve_state_index_past_the_bound_levels_runs_one_dense_solve(
+        monkeypatch, capsys, tmp_path, gauge, eig_calls_before):
+    # special-b1 A=2 has three Re < 0 levels, so index 5 needs the dense
+    # solve.  On the gauged accuracy-4 H the sparse solve itself falls back
+    # to dense eig, and a second dense solve used to follow.
+    calls = []
+    dense = eigen.eig
+    below = eigen.eig_below
+    monkeypatch.setattr(eigen, "eig", lambda *a, **k: calls.append(1) or dense(*a, **k))
+
+    def two_solves(H, top, want_vectors=False, tol=1e-6, min_count=0):
+        report = below(H, top, want_vectors, tol)
+        return report if len(report.eigenvalues) >= min_count else eigen.eig(H, want_vectors)
+
+    argv = ["evolve", "--family", "special-b1", "--A", "2", *gauge, "--L", "16", "--N", "400",
+            "--T", "0.01", "--state-index", "5"]
+    outputs = []
+    for solve in (two_solves, below):
+        monkeypatch.setattr(eigen, "eig_below", solve)
+        calls.clear()
+        trace = tmp_path / f"{solve.__name__}.csv"
+        assert cli.main(argv + ["--out", str(trace)]) == 0
+        outputs.append((capsys.readouterr().out, trace.read_bytes(), len(calls)))
+    (ref_out, ref_csv, ref_calls), (out, csv, n_calls) = outputs
+    assert (ref_calls, n_calls) == (eig_calls_before, 1)
+    assert out == ref_out and csv == ref_csv
+    assert json.loads(out)["diagnostics"] == {"solver": "real-pt"}

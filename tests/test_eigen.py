@@ -317,6 +317,21 @@ def test_eig_below_with_a_cut_below_the_numerical_range_is_empty():
     assert len(rep.eigenvalues) == 0 and rep.vectors.shape == (400, 0)
 
 
+def test_eig_below_min_count_keeps_the_lowest_dense_levels():
+    # scarf2 (2, 1) has three Re < 0 levels, all found by shift-invert
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, 400)
+    assert eigen.eig_below(H, 0.0, min_count=3).solver == "shift-invert"
+    dense = eigen.eig(H, want_vectors=True)
+    for top, count in ((0.0, 5), (-100.0, 2)):  # the second cut lies below the box
+        rep = eigen.eig_below(H, top, want_vectors=True, min_count=count)
+        assert rep.solver == "real-pt"
+        np.testing.assert_array_equal(rep.eigenvalues, dense.eigenvalues[:count])
+        np.testing.assert_array_equal(rep.vectors, dense.vectors[:, :count])
+    for count in (-1, 401):
+        with pytest.raises(ParameterError):
+            eigen.eig_below(H, 0.0, min_count=count)
+
+
 def test_eig_below_is_bitwise_deterministic():
     H = shared.hamiltonian("scarf2-raw", 2.0, 3.0, 800)
     a = eigen.eig_below(H, 0.0, want_vectors=True)
