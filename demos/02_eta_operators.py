@@ -17,12 +17,12 @@ g = q.make_grid(L, N)
 probes = ops.gaussian_probes(g)
 
 # --- parity on the PT-symmetric Scarf II potential -------------------------
-H = q.build_hamiltonian(g, q.SpecialB1(2.0))
+H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0))
 P = q.build_eta(g, q.ParityEta())
 print(f"parity residual on PT fixture:        {ops.intertwining_residual(P, H, probes):.2e}")
 
 # --- first-order eta = d/dx + 2i sech x on its partner potential ------------
-Hf = q.build_hamiltonian(g, q.FirstOrderFamily(d=2.0))
+Hf = q.build_hamiltonian(g, q.first_order_potential(d=2.0))
 eta1 = q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")))
 herm, anti = ops.hermiticity_indicators(eta1, probes)
 print(f"first-order residual:                 {ops.intertwining_residual(eta1, Hf, probes):.2e}")
@@ -36,7 +36,7 @@ print(f"eta-eta^dag residual (weak part):     {ops.intertwining_residual(minus, 
 # --- second-order Hermitian eta with its -O^dag O factorization -------------
 pot = q.scarf2_potential(2.0, 1.0)
 a = expr.parse("-2.5*sech(x)")      # -(1/2) B (2A+1) sech x
-eta2 = q.build_eta(g, q.SecondOrderEta(a, gamma=0.0, delta=0.25, V=pot))
+eta2 = q.build_eta(g, q.SecondOrderEta(a, delta=0.25, V=pot))
 Hs = q.build_hamiltonian(g, pot)
 print(f"second-order residual:                {ops.intertwining_residual(eta2, Hs, probes):.2e}")
 rep = ops.verify_factorization(g, a, 0.0, expr.parse("tanh(x)/2"), eta2, probes)

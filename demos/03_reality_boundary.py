@@ -17,7 +17,7 @@ V1, L, N = 2.0, 16.0, 800
 
 
 def bound(v2):
-    pot = q.scarf2_raw_potential(V1, v2)
+    pot = q.ScarfII(V1, v2)
     coarse = eigen.eig(q.build_hamiltonian(q.make_grid(L, N // 2), pot)).eigenvalues
     fine = eigen.eig(q.build_hamiltonian(q.make_grid(L, N), pot)).eigenvalues
     return eigen.converged_bound_states(coarse, fine).values

@@ -22,7 +22,7 @@ beta = 0.5
 
 g = q.make_grid(L, N)
 gauge = q.GaugeSpec(beta, expr.parse("tanh(x)"))
-Hb = q.build_hamiltonian(g, q.SpecialB1(2.0), gauge, accuracy=4)
+Hb = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), gauge, accuracy=4)
 w_gauge = 1.0 / np.cosh(g.points)   # exp[-2 beta ln cosh x] for nu = tanh
 w_unit = np.ones(N)
 

@@ -1,11 +1,13 @@
 """Numerical toolkit for eta-pseudo-Hermitian one-dimensional Hamiltonians.
 
-Builds discretized non-Hermitian Hamiltonians (complex Scarf II family and
-custom potentials, with optional imaginary gauge coupling), the metric
-operators that intertwine them with their adjoints, dense complex spectra
-with real/conjugate-pair classification against analytic levels, and
-Crank-Nicolson evolution verifying the generalized continuity/conservation
-law and eta-orthogonality.
+Builds discretized non-Hermitian Hamiltonians as sparse matrices (the
+complex Scarf II potential and custom expressions, with optional imaginary
+gauge coupling) and the metric operators that intertwine them with their
+adjoints.  Spectra come from a real solve of PT-symmetric H (complex
+otherwise), or from certified sparse shift-invert for the Re < 0 levels,
+and are classified into real levels and conjugate pairs against analytic
+levels.  Crank-Nicolson evolution verifies the generalized
+continuity/conservation law and eta-orthogonality.
 """
 
 from .errors import (
@@ -25,14 +27,12 @@ from .grid import Grid, diff_matrix, make_grid
 from .operators import (
     CustomPotential,
     FirstOrderEta,
-    FirstOrderFamily,
     GaugeSpec,
     IdentityEta,
     MultiplicativeEta,
     ParityEta,
     ScarfII,
     SecondOrderEta,
-    SpecialB1,
     adjoint,
     build_eta,
     build_hamiltonian,
@@ -51,10 +51,10 @@ from .evolve import EvolutionTrace, continuity_fields, gaussian_state, run, step
 from .models import (
     LevelSet,
     first_order_levels,
+    first_order_potential,
     reality_condition,
     scarf2_levels,
     scarf2_potential,
-    scarf2_raw_potential,
     scarf2_strengths,
 )
 

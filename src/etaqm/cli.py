@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: spectrum | verify-eta | sweep | evolve | levels.  Single-run
+Subcommands: spectrum | verify-eta | sweep | evolve | levels.  The potential
+is a named Scarf II point, --family scarf2 (--A, --B), first-order (--d, --k)
+or special-b1 (--A: the B = 1 point, ungated), or a --V expression.  Single-run
 reports are JSON on stdout, sweeps and evolution traces are CSV; outputs are
 byte-identical across runs and across --jobs settings (fixed field order,
 floats at 17 significant digits, no timestamps).  Errors go to stderr as
@@ -31,8 +33,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NAN = 0, 2, 3, 4
 # ---------------------------------------------------------------------------
 
 def fmt_float(x: float) -> str:
-    if isinstance(x, float) and not np.isfinite(x):
-        return '"%s"' % repr(x)
+    if not np.isfinite(x):
+        return '"%s"' % repr(float(x))
     return format(float(x), ".17g")
 
 
@@ -105,22 +107,31 @@ def parse_expression(text: str, what: str):
         raise CliError(EXIT_CONFIG, f"bad {what} expression: {exc}", {"source": text})
 
 
-def potential_from_args(args) -> operators.PotentialSpec:
+# --family -> the flags it needs, for every subcommand that takes --family
+FAMILY_FLAGS = {"scarf2": ("A", "B"), "first-order": ("d",), "special-b1": ("A",)}
+
+
+def family_from_args(args) -> str | None:
+    """The --family value, once every flag it needs is set."""
     family = getattr(args, "family", None)
+    needs = FAMILY_FLAGS.get(family, ())
+    if any(getattr(args, name) is None for name in needs):
+        raise CliError(EXIT_CONFIG, f"{family} family needs "
+                       + " and ".join(f"--{name}" for name in needs))
+    return family
+
+
+def potential_from_args(args) -> operators.PotentialSpec:
+    family = family_from_args(args)
     if family == "scarf2":
-        if args.A is None or args.B is None:
-            raise CliError(EXIT_CONFIG, "scarf2 family needs --A and --B")
         return models.scarf2_potential(args.A, args.B)
     if family == "first-order":
-        if args.d is None:
-            raise CliError(EXIT_CONFIG, "first-order family needs --d")
-        models.first_order_levels(args.d, args.k)  # validates d > 1/2
-        return operators.FirstOrderFamily(d=args.d, k=args.k)
+        return models.first_order_potential(args.d, args.k)
     if family == "special-b1":
-        if args.A is None:
-            raise CliError(EXIT_CONFIG, "special-b1 family needs --A")
-        return operators.SpecialB1(A=args.A)
-    if family is None and getattr(args, "V", None):
+        # the B = 1 point without the A - B + 1/2 gate: a half-integer A
+        # stays allowed, and `levels` flags its level collision as degenerate
+        return operators.ScarfII(*models.scarf2_strengths(args.A, 1.0))
+    if getattr(args, "V", None):
         return operators.CustomPotential(parse_expression(args.V, "potential"))
     raise CliError(EXIT_CONFIG, "specify --family or a --V expression")
 
@@ -138,12 +149,11 @@ def grid_from_args(args):
 
 
 def analytic_levels(args) -> models.LevelSet | None:
-    family = getattr(args, "family", None)
-    if family in ("scarf2", "special-b1"):
-        B = args.B if family == "scarf2" else 1.0
-        return models.scarf2_levels(args.A, B if B is not None else 1.0)
+    family = family_from_args(args)
     if family == "first-order":
         return models.first_order_levels(args.d, args.k)
+    if family is not None:
+        return models.scarf2_levels(args.A, args.B if family == "scarf2" else 1.0)
     return None
 
 
@@ -239,7 +249,6 @@ def eta_from_args(args, potential) -> operators.EtaSpec:
             raise CliError(EXIT_CONFIG, "second-order eta needs --a")
         return operators.SecondOrderEta(
             a=parse_expression(args.a, "metric coefficient"),
-            gamma=args.gamma,
             delta=args.delta,
             V=potential,
         )
@@ -293,14 +302,13 @@ def _sweep_row(task) -> tuple[int, dict]:
     row: dict = {"value": value}
     try:
         if axis == "V2":
-            potential = models.scarf2_raw_potential(fixed["V1"], value)
+            potential = operators.ScarfII(fixed["V1"], value)
         elif axis == "d":
-            models.first_order_levels(value, fixed.get("k", 0.0))  # gate d > 1/2
-            potential = operators.FirstOrderFamily(d=value, k=fixed.get("k", 0.0))
+            potential = models.first_order_potential(value, fixed["k"])
         elif axis == "A":
-            potential = models.scarf2_potential(value, fixed.get("B", 1.0))
+            potential = models.scarf2_potential(value, fixed["B"])
         elif axis == "B":
-            potential = models.scarf2_potential(fixed.get("A", 2.0), value)
+            potential = models.scarf2_potential(fixed["A"], value)
         else:
             raise ParameterError(f"unknown sweep axis {axis!r}")
         _, bound = bound_filtered(potential, None, L, N, accuracy, full=False)
@@ -460,7 +468,6 @@ def _add_common(p: argparse.ArgumentParser, evolution: bool = False):
     p.add_argument("--L", type=float, default=DEFAULTS["L"], help="box half-width")
     p.add_argument("--N", type=int, default=DEFAULTS["N"], help="interior grid points")
     p.add_argument("--accuracy", type=int, default=2, choices=(2, 4))
-    p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p.add_argument("--family", choices=("scarf2", "first-order", "special-b1"))
     p.add_argument("--A", type=float)
     p.add_argument("--B", type=float)
@@ -508,6 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--V1", type=float, default=2.0, help="fixed V1 for V2 sweeps")
+    p.add_argument("--tol", type=float, default=DEFAULTS["tol"],
+                   help="relative |Im| below which a level counts as real")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_sweep)
 

@@ -1,11 +1,17 @@
-"""Analytic reference data for the solvable potential families.
+"""The named potential families and their analytic reference data.
 
-Closed-form bound-state energies for the complex Scarf II potential in two
-parameterizations, plus the reality condition |V2| <= V1 + 1/4.  The B = 1
-level formulas are exact reference values; the general-B and first-order
-family series are derived from the standard Scarf II analysis and are
-cross-validated against the numerical eigensolver in the test suite (their
-LevelSet carries provenance="derived").
+Every family is a point of the complex Scarf II potential
+V = -V1 sech^2 x + k - i V2 sech x tanh x (`operators.ScarfII`); this module
+owns each family's parameterization and admissibility gate:
+
+    scarf2_potential(A, B)       V1 = [B^2 (2A+1)^2 + 3]/4, V2 = -B (2A+1)
+    first_order_potential(d, k)  V1 = d^2, V2 = -d, shift k
+
+It also gives their closed-form bound-state energies and the reality
+condition |V2| <= V1 + 1/4.  The B = 1 level formulas are exact reference
+values; the general-B and first-order family series are derived from the
+standard Scarf II analysis and are cross-validated against the numerical
+eigensolver in the test suite (their LevelSet carries provenance="derived").
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr
 from .errors import ConstraintError, ParameterError
-from .operators import CustomPotential, ScarfII, _is_integer
+from .operators import ScarfII, _is_integer
 
 __all__ = [
     "LevelSet", "RealityCheck",
-    "scarf2_potential", "scarf2_strengths", "scarf2_raw_potential",
+    "scarf2_potential", "scarf2_strengths", "first_order_potential",
     "scarf2_levels", "first_order_levels", "reality_condition",
 ]
 
@@ -50,30 +55,39 @@ class RealityCheck:
     eq_family_point: bool   # (V1, V2) reachable from (A, B), where ok always holds
 
 
-def scarf2_potential(A: float, B: float) -> ScarfII:
-    """Admissible Scarf II spec; rejects A + 1/2 <= 0, B <= 0 and integer
-    A - B + 1/2."""
-    return ScarfII(A=A, B=B)  # constraint checks live on the dataclass
+def _require_scarf2_domain(A: float, B: float) -> None:
+    if not A + 0.5 > 0:
+        raise ConstraintError(f"require A + 1/2 > 0, got A = {A}")
+    if not B > 0:
+        raise ConstraintError(f"require B > 0, got B = {B}")
 
 
 def scarf2_strengths(A: float, B: float) -> tuple[float, float]:
-    """(V1, V2) without the admissibility gate (useful for sweeps/oracles)."""
-    t = B * (2.0 * A + 1.0)
-    return 0.25 * (t * t + 3.0), -t
+    """(V1, V2) of the (A, B) point, without the admissibility gate.
+
+    V1 rounds as B^2 c^2, not (B c)^2; the two differ in the last bit for
+    about half of all (A, B), and the tests pin the B^2 c^2 samples."""
+    c = 2.0 * A + 1.0
+    return 0.25 * (B**2 * c**2 + 3.0), -B * c
 
 
-def scarf2_raw_potential(V1: float, V2: float) -> CustomPotential:
-    """V = -V1 sech^2 x - i V2 sech x tanh x from raw strengths.
+def scarf2_potential(A: float, B: float) -> ScarfII:
+    """Admissible Scarf II point; rejects A + 1/2 <= 0, B <= 0 and integer
+    A - B + 1/2."""
+    _require_scarf2_domain(A, B)
+    if _is_integer(A - B + 0.5):
+        raise ConstraintError(f"A - B + 1/2 = {A - B + 0.5} must not be an integer")
+    return ScarfII(*scarf2_strengths(A, B))
 
-    Unlike the (A, B) family this reaches points violating the reality
-    condition, which is what the reality-boundary sweeps need.
-    """
-    x = expr.var()
-    sech = expr.call("sech", x)
-    tanh = expr.call("tanh", x)
-    term1 = expr.mul(expr.const(-V1), expr.power(sech, 2))
-    term2 = expr.mul(expr.const(-1j * V2), expr.mul(sech, tanh))
-    return CustomPotential(expr.add(term1, term2))
+
+def first_order_potential(d: float, k: float = 0.0) -> ScarfII:
+    """V = -d^2 sech^2 x + k + i d sech x tanh x, the potential intertwined by
+    the first-order metric d/dx + i d sech x; requires d > 1/2."""
+    if not d > 0.5:
+        raise ConstraintError(
+            f"require d > 1/2 for a normalizable level series, got d = {d}"
+        )
+    return ScarfII(d * d, -d, k)
 
 
 def _series(top: float) -> tuple[float, ...]:
@@ -95,10 +109,7 @@ def scarf2_levels(A: float, B: float) -> LevelSet:
     (which happen exactly when A - B + 1/2 is an integer making t even) are
     flagged rather than rejected, since the closed forms still evaluate.
     """
-    if not A + 0.5 > 0:
-        raise ConstraintError(f"require A + 1/2 > 0, got A = {A}")
-    if not B > 0:
-        raise ConstraintError(f"require B > 0, got B = {B}")
+    _require_scarf2_domain(A, B)
     t = B * (2.0 * A + 1.0)
     series1 = _series(t / 2.0 - 0.5)
     series2 = (-0.25,)
@@ -121,17 +132,12 @@ def scarf2_levels(A: float, B: float) -> LevelSet:
 def first_order_levels(d: float, k: float = 0.0) -> LevelSet:
     """Single level series of the first-order family:
     E_n = k - (d - 1/2 - n)^2 for d - 1/2 - n > 0; requires d > 1/2."""
-    if not d > 0.5:
-        raise ConstraintError(
-            f"require d > 1/2 for a normalizable level series, got d = {d}"
-        )
-    series1 = tuple(k + e for e in _series(d - 0.5))
-    V1, V2 = d * d, -d
+    V = first_order_potential(d, k)
     return LevelSet(
-        series1=series1,
+        series1=tuple(k + e for e in _series(d - 0.5)),
         series2=(),
-        params={"d": d, "k": k, "V1": V1, "V2": V2},
-        reality_ok=reality_condition(V1, V2).ok,
+        params={"d": d, "k": k, "V1": V.V1, "V2": V.V2},
+        reality_ok=reality_condition(V.V1, V.V2).ok,
         provenance="derived",
     )
 

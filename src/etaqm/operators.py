@@ -6,8 +6,12 @@ Hamiltonians (hbar = 2m = 1, p = -i d/dx):
     H_beta = -D2 + 2 beta diag(nu) D1 + diag(beta nu' - beta^2 nu^2 + V)
 
 The gauged form is the expansion of [p + i beta nu(x)]^2 + V(x); nu must be
-real and odd.  Metric operators come in four families: the identity, parity,
-a multiplicative gauge weight exp[-2 beta int_0^x nu], a first-order
+real and odd.  V is either the closed-form complex Scarf II potential
+V = -V1 sech^2 x + k - i V2 sech x tanh x (`ScarfII`, of which every named
+family in `models` is a point) or an expression (`CustomPotential`).
+
+Metric operators come in four families: the identity, parity, a
+multiplicative gauge weight exp[-2 beta int_0^x nu], a first-order
 differential operator D1 + i g(x), and a second-order Hermitian operator
 D2 - 2 i a(x) D1 + b(x) with b = -V + i a' - 2 a^2 - delta.
 
@@ -27,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .errors import ConstraintError, DimensionError, OddFunctionError, ParameterError, PoleError
+from .errors import DimensionError, OddFunctionError, ParameterError, PoleError
 from .expr import Expr
 from .grid import Grid, diff_matrix
 
 __all__ = [
-    "ScarfII", "FirstOrderFamily", "SpecialB1", "CustomPotential", "PotentialSpec",
+    "ScarfII", "CustomPotential", "PotentialSpec",
     "GaugeSpec",
     "IdentityEta", "ParityEta", "MultiplicativeEta", "FirstOrderEta", "SecondOrderEta",
     "EtaSpec",
@@ -55,46 +59,13 @@ def _is_integer(v: float, tol: float = 1e-9) -> bool:
 
 @dataclass(frozen=True)
 class ScarfII:
-    """Complex Scarf II strengths derived from (A, B):
-    V = -V1 sech^2 x - i V2 sech x tanh x, V1 = [B^2 (2A+1)^2 + 3]/4,
-    V2 = -B (2A+1)."""
+    """V = -V1 sech^2 x + k - i V2 sech x tanh x, the complex Scarf II
+    potential from its strengths.  Every named family is a point of it;
+    `models` maps each family's parameters, and gates them."""
 
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if not self.A + 0.5 > 0:
-            raise ConstraintError(f"require A + 1/2 > 0, got A = {self.A}")
-        if not self.B > 0:
-            raise ConstraintError(f"require B > 0, got B = {self.B}")
-        if _is_integer(self.A - self.B + 0.5):
-            raise ConstraintError(
-                f"A - B + 1/2 = {self.A - self.B + 0.5} must not be an integer"
-            )
-
-    @property
-    def V1(self) -> float:
-        return 0.25 * (self.B**2 * (2 * self.A + 1) ** 2 + 3)
-
-    @property
-    def V2(self) -> float:
-        return -self.B * (2 * self.A + 1)
-
-
-@dataclass(frozen=True)
-class FirstOrderFamily:
-    """V = -d^2 sech^2 x + k + i d sech x tanh x, the potential intertwined by
-    the first-order metric d/dx + i d sech x."""
-
-    d: float
+    V1: float
+    V2: float
     k: float = 0.0
-
-
-@dataclass(frozen=True)
-class SpecialB1:
-    """V = -(A^2 + A + 1) sech^2 x + i (2A+1) sech x tanh x (the B = 1 point)."""
-
-    A: float
 
 
 @dataclass(frozen=True)
@@ -102,7 +73,7 @@ class CustomPotential:
     V: Expr
 
 
-PotentialSpec = ScarfII | FirstOrderFamily | SpecialB1 | CustomPotential
+PotentialSpec = ScarfII | CustomPotential
 
 
 @dataclass(frozen=True)
@@ -145,7 +116,6 @@ class SecondOrderEta:
     """eta = D2 - 2 i a(x) D1 + b(x), b = -V + i a' - 2 a^2 - delta."""
 
     a: Expr
-    gamma: float
     delta: float
     V: PotentialSpec
 
@@ -180,16 +150,9 @@ def _fro(M) -> float:
 def potential_on_grid(grid: Grid, spec: PotentialSpec) -> np.ndarray:
     """Complex potential samples V(x_j)."""
     x = grid.points
-    sech = 1.0 / np.cosh(x)
-    tanh = np.tanh(x)
     if isinstance(spec, ScarfII):
-        return -spec.V1 * sech**2 - 1j * spec.V2 * sech * tanh
-    if isinstance(spec, SpecialB1):
-        A = spec.A
-        return -(A * A + A + 1) * sech**2 + 1j * (2 * A + 1) * sech * tanh
-    if isinstance(spec, FirstOrderFamily):
-        d = spec.d
-        return -d * d * sech**2 + spec.k + 1j * d * sech * tanh
+        sech = 1.0 / np.cosh(x)
+        return -spec.V1 * sech**2 + spec.k - 1j * spec.V2 * sech * np.tanh(x)
     if isinstance(spec, CustomPotential):
         return expr.evaluate_on(spec.V, x)
     raise ParameterError(f"unknown potential spec {spec!r}")

@@ -40,11 +40,11 @@ def _potential(kind: str, p1: float, p2: float) -> ops.PotentialSpec:
     if kind == "scarf2":
         return q.scarf2_potential(p1, p2)
     if kind == "scarf2-raw":
-        return q.scarf2_raw_potential(p1, p2)
+        return ops.ScarfII(p1, p2)
     if kind == "special-b1":
-        return ops.SpecialB1(p1)
+        return ops.ScarfII(*q.scarf2_strengths(p1, 1.0))
     if kind == "first-order":
-        return ops.FirstOrderFamily(p1, p2)
+        return q.first_order_potential(p1, p2)
     if kind == "free":
         return ops.CustomPotential(expr.parse("0"))
     if kind == "non-pt":

@@ -109,7 +109,7 @@ def test_criterion_5_intertwining_residuals():
 
     pot = q.scarf2_potential(2.0, 1.0)
     a = expr.parse("-2.5*sech(x)")
-    eta2 = q.build_eta(g, q.SecondOrderEta(a, 0.0, 0.25, pot))
+    eta2 = q.build_eta(g, q.SecondOrderEta(a, 0.25, pot))
     r_second = ops.intertwining_residual(eta2, shared.hamiltonian("scarf2", 2.0, 1.0, 1600), probes)
     fact = ops.verify_factorization(g, a, 0.0, expr.parse("tanh(x)/2"), eta2, probes)
 

@@ -336,3 +336,55 @@ def test_evolve_state_index_past_the_bound_levels_runs_one_dense_solve(
     assert (ref_calls, n_calls) == (eig_calls_before, 1)
     assert out == ref_out and csv == ref_csv
     assert json.loads(out)["diagnostics"] == {"solver": "real-pt"}
+
+
+def test_trace_csv_writes_non_finite_values_as_json_strings():
+    t = np.array([0.0, 0.001])
+    Q = np.empty(2, dtype=complex)
+    Q.real, Q.imag = [1.0, np.inf], [0.0, np.nan]
+    trace = evolve.EvolutionTrace(times=t, Q=Q, continuity_residual=np.array([0.0, -np.inf]),
+                                  final_states=(t, t))
+    assert cli.trace_csv(trace).splitlines()[2] == '0.001,"inf","nan","-inf"'
+    assert cli.fmt_float(np.float64("inf")) == cli.dump_json(np.float64("inf")) == '"inf"'
+
+
+def test_tol_is_a_sweep_flag_only(capsys):
+    assert cli.main(["spectrum", "--V", "0", "--L", "8", "--N", "50", "--tol", "0.5"]) == 2
+    assert "--tol" in json.loads(capsys.readouterr().err)["message"]
+    # V2 = 3 > V1 + 1/4: a conjugate pair, which a loose enough --tol counts as real
+    sweep = ["sweep", "--axis", "V2", "--start", "3", "--stop", "3", "--step", "1", "--V1", "2",
+             "--L", "10", "--N", "400"]
+    rows = []
+    for tol in ((), ("--tol", "10")):
+        assert cli.main(sweep + list(tol)) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1].split(","))
+    (_, _, real, pairs, _), (_, _, real_loose, pairs_loose, _) = rows
+    assert int(pairs) >= 1 and int(pairs_loose) == 0
+    assert int(real_loose) == int(real) + 2 * int(pairs)
+
+
+def test_special_b1_allows_the_half_integer_a_that_scarf2_rejects(capsys):
+    # at B = 1 a half-integer A collides two levels: special-b1 stays ungated
+    # and reports the collision, scarf2 keeps its A - B + 1/2 gate
+    small = ["--L", "10", "--N", "120"]
+    assert cli.main(["spectrum", "--family", "special-b1", "--A", "1.5", *small]) == 0
+    analytic = json.loads(capsys.readouterr().out)["analytic"]
+    assert analytic["degenerate"] and not analytic["constraint_ok"]
+    assert cli.main(["spectrum", "--family", "scarf2", "--A", "1.5", "--B", "1", *small]) == 2
+    assert "must not be an integer" in json.loads(capsys.readouterr().err)["message"]
+    assert cli.main(["levels", "--family", "special-b1", "--A", "1.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["degenerate"]
+
+
+@pytest.mark.parametrize("family", [
+    ("special-b1",), ("first-order",), ("scarf2", "--A", "2"),
+], ids=["special-b1", "first-order", "scarf2-without-B"])
+def test_levels_rejects_missing_family_flags_like_spectrum(capsys, family):
+    errors = []
+    for command in ("levels", "spectrum"):
+        assert cli.main([command, "--family", *family, "--N", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(json.loads(captured.err))
+    assert errors[0] == errors[1]
+    assert errors[0]["code"] == 2 and f"{family[0]} family needs" in errors[0]["message"]

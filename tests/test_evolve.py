@@ -97,7 +97,7 @@ def test_step_rejects_bad_arguments():
 def test_phi_reduction_matches_forward_field():
     # stepping phi = conj(psi2(-x)) at -dt equals flipping the forward psi2
     g = q.make_grid(12.0, 300)
-    Hb = q.build_hamiltonian(g, q.SpecialB1(2.0), q.GaugeSpec(0.5, expr.parse("tanh(x)")))
+    Hb = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), q.GaugeSpec(0.5, expr.parse("tanh(x)")))
     psi2 = evolve.gaussian_state(g, 1.0, 1.2, 0.5)
     phi = np.conj(psi2[::-1])
     for _ in range(40):
@@ -155,7 +155,7 @@ def test_run_matches_the_b_form_reference(case):
     g = q.make_grid(8.0, 128)
     if case == "gauged-accuracy-4":
         gauge = q.GaugeSpec(shared.GAUGE_BETA, expr.parse("tanh(x)"))
-        H = q.build_hamiltonian(g, q.SpecialB1(2.0), gauge, 4)
+        H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), gauge, 4)
         w = operators.gauge_weight(g, gauge.beta, gauge.nu)
     else:
         H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")))

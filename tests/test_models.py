@@ -1,11 +1,16 @@
 """Analytic level formulas, constraints, and eigensolver-oracle validation."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import conftest as shared
 import etaqm as q
-from etaqm import eigen
+from etaqm import cli
+from etaqm import operators as ops
 from etaqm.errors import ConstraintError, ParameterError
 
 
@@ -27,20 +32,108 @@ def test_scarf2_rejects_integer_combination():
         q.scarf2_potential(1.0, 0.5)  # A - B + 1/2 = 1
 
 
-def test_special_b1_equals_scarf2_at_unit_b():
-    g = q.make_grid(5.0, 33)
-    va = q.potential_on_grid(g, q.scarf2_potential(2.0, 1.0))
-    vb = q.potential_on_grid(g, q.SpecialB1(2.0))
-    np.testing.assert_allclose(va, vb, atol=1e-13)
+def test_scarf2_potential_rejects_bad_parameters():
+    with pytest.raises(ConstraintError):
+        q.scarf2_potential(-0.5, 1.0)
+    with pytest.raises(ConstraintError):
+        q.scarf2_potential(1.0, -2.0)
+    with pytest.raises(ConstraintError):
+        q.scarf2_potential(1.0, 0.5)  # A - B + 1/2 = 1 is an integer
+
+
+def test_first_order_potential_gate_and_strengths():
+    assert q.first_order_potential(2.0, 0.3) == ops.ScarfII(4.0, -2.0, 0.3)
+    for d in (0.5, 0.4, -1.0):
+        with pytest.raises(ConstraintError):
+            q.first_order_potential(d)
+
+
+def test_special_b1_equals_scarf2_at_unit_b(capsys):
+    # both families are the same Scarf II point; only config.family differs
+    reports = []
+    for family in (("special-b1",), ("scarf2", "--B", "1")):
+        argv = ["spectrum", "--family", *family, "--A", "1.3", "--L", "10", "--N", "120"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"].pop("family") == family[0]
+        reports.append(cli.dump_json(report))
+    assert reports[0] == reports[1]
 
 
 def test_raw_potential_reaches_beyond_family():
     g = q.make_grid(5.0, 21)
-    v = q.potential_on_grid(g, q.scarf2_raw_potential(2.0, 3.0))
+    v = q.potential_on_grid(g, ops.ScarfII(2.0, 3.0))
     x = g.points
     sech, tanh = 1 / np.cosh(x), np.tanh(x)
     np.testing.assert_allclose(v, -2.0 * sech**2 - 3j * sech * tanh, atol=1e-13)
     assert not q.reality_condition(2.0, 3.0).ok
+
+
+# The closed forms of the three named families before they became points of
+# one ScarfII spec, kept as references for the sample bits.
+
+def _sech_tanh(x):
+    return 1.0 / np.cosh(x), np.tanh(x)
+
+
+def _scarf2_reference(x, A, B):
+    sech, tanh = _sech_tanh(x)
+    V1 = 0.25 * (B**2 * (2 * A + 1) ** 2 + 3)
+    V2 = -B * (2 * A + 1)
+    return -V1 * sech**2 - 1j * V2 * sech * tanh
+
+
+def _first_order_reference(x, d, k):
+    sech, tanh = _sech_tanh(x)
+    return -d * d * sech**2 + k + 1j * d * sech * tanh
+
+
+def _special_b1_reference(x, A):
+    sech, tanh = _sech_tanh(x)
+    return -(A * A + A + 1) * sech**2 + 1j * (2 * A + 1) * sech * tanh
+
+
+def _grid(L, n, parity):
+    return q.make_grid(L, 2 * n + parity)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-N", "odd-N"])
+@settings(max_examples=150, deadline=None)
+@given(L=st.floats(1.0, 24.0), n=st.integers(2, 40),
+       A=st.floats(-0.49, 6.0), B=st.floats(0.01, 4.0))
+def test_scarf2_potential_samples_are_the_former_closed_form(parity, L, n, A, B):
+    try:
+        pot = q.scarf2_potential(A, B)
+    except ConstraintError:
+        assume(False)
+    g = _grid(L, n, parity)
+    assert q.potential_on_grid(g, pot).tobytes() == _scarf2_reference(g.points, A, B).tobytes()
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-N", "odd-N"])
+@settings(max_examples=150, deadline=None)
+@given(L=st.floats(1.0, 24.0), n=st.integers(2, 40),
+       d=st.floats(0.51, 6.0), k=st.floats(-5.0, 5.0).filter(lambda k: k != 0.0))
+def test_first_order_potential_samples_are_the_former_closed_form(parity, L, n, d, k):
+    g = _grid(L, n, parity)
+    for shift in (0.0, k):
+        got = q.potential_on_grid(g, q.first_order_potential(d, shift))
+        assert got.tobytes() == _first_order_reference(g.points, d, shift).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@example(L=16.0, N=41, A=2.0)
+@given(L=st.floats(1.0, 24.0), N=st.integers(4, 81), A=st.floats(-0.49, 6.0))
+def test_special_b1_samples_move_only_with_the_rounding_of_v1(L, N, A):
+    # V1 = [(2A+1)^2 + 3]/4 replaces A^2 + A + 1; the two roundings differ by
+    # at most 2 ulp, and not at all for A = 2
+    g = q.make_grid(L, N)
+    got = q.potential_on_grid(g, ops.ScarfII(*q.scarf2_strengths(A, 1.0)))
+    ref = _special_b1_reference(g.points, A)
+    assert got.imag.tobytes() == ref.imag.tobytes()
+    np.testing.assert_allclose(got.real, ref.real, rtol=1e-15, atol=0)
+    if A == 2.0:
+        assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_free_particle_box_ground_level():
 
 def test_special_b1_diagonal_entries():
     g = q.make_grid(6.0, 41)
-    H = q.build_hamiltonian(g, q.SpecialB1(2.0)).toarray()
+    H = q.build_hamiltonian(g, ops.ScarfII(*q.scarf2_strengths(2.0, 1.0))).toarray()
     x = g.points
     sech, tanh = 1 / np.cosh(x), np.tanh(x)
     expected = -7.0 * sech**2 + 5j * sech * tanh
@@ -56,7 +56,7 @@ def test_sparse_builders_repeat_the_dense_arithmetic():
     # CSR assembly must not change a single entry of H_beta or of eta_2
     g = q.make_grid(10.0, 101)
     x, b = g.points, 0.7
-    pot = q.SpecialB1(2.0)
+    pot = q.scarf2_potential(2.0, 1.0)
     V = ops.potential_on_grid(g, pot)
     nu = expr.evaluate_on(TANH, x).real
     nup = expr.evaluate_on(expr.derive(TANH), x).real
@@ -70,16 +70,16 @@ def test_sparse_builders_repeat_the_dense_arithmetic():
         assert H.format == "csr"
         np.testing.assert_array_equal(H.toarray(), Hb)
         eta2 = D2 + (-2j * a)[:, None] * D1 + np.diag(-V + 1j * ap - 2.0 * a * a - 0.25)
-        eta = q.build_eta(g, q.SecondOrderEta(a_expr, 0.0, 0.25, pot), acc)
+        eta = q.build_eta(g, q.SecondOrderEta(a_expr, 0.25, pot), acc)
         np.testing.assert_array_equal(eta.toarray(), eta2)
 
 
 def test_gauge_requires_odd_real_nu():
     g = q.make_grid(4.0, 32)
     with pytest.raises(OddFunctionError):
-        q.build_hamiltonian(g, q.SpecialB1(1.0), q.GaugeSpec(0.5, expr.parse("cosh(x)")))
+        q.build_hamiltonian(g, q.scarf2_potential(1.0, 1.0), q.GaugeSpec(0.5, expr.parse("cosh(x)")))
     with pytest.raises(OddFunctionError):
-        q.build_hamiltonian(g, q.SpecialB1(1.0), q.GaugeSpec(0.5, expr.parse("i*x")))
+        q.build_hamiltonian(g, q.scarf2_potential(1.0, 1.0), q.GaugeSpec(0.5, expr.parse("i*x")))
 
 
 def test_gauged_spectrum_equals_ungauged_spectrum():
@@ -149,7 +149,7 @@ def test_first_order_eta_anti_hermitian_for_even_g():
 def test_second_order_eta_hermitian_on_probes():
     g = shared.grid(1600)
     pot = q.scarf2_potential(2.0, 1.0)
-    eta = q.build_eta(g, q.SecondOrderEta(expr.parse("-2.5*sech(x)"), 0.0, 0.25, pot))
+    eta = q.build_eta(g, q.SecondOrderEta(expr.parse("-2.5*sech(x)"), 0.25, pot))
     probes = ops.gaussian_probes(g)
     herm, anti = ops.hermiticity_indicators(eta, probes)
     assert herm <= 1e-6
@@ -195,7 +195,7 @@ def test_second_order_eta_intertwines_scarf2():
     g = shared.grid(1600)
     pot = q.scarf2_potential(2.0, 1.0)
     H = shared.hamiltonian("scarf2", 2.0, 1.0, 1600)
-    eta = q.build_eta(g, q.SecondOrderEta(expr.parse("-2.5*sech(x)"), 0.0, 0.25, pot))
+    eta = q.build_eta(g, q.SecondOrderEta(expr.parse("-2.5*sech(x)"), 0.25, pot))
     assert ops.intertwining_residual(eta, H, ops.gaussian_probes(g)) <= 1e-6
 
 
@@ -208,7 +208,7 @@ def test_residual_requires_matching_shapes():
 
 def test_residuals_agree_for_dense_and_sparse_operands():
     g = q.make_grid(12.0, 300)
-    H = q.build_hamiltonian(g, q.FirstOrderFamily(2.0), accuracy=4)
+    H = q.build_hamiltonian(g, q.first_order_potential(2.0), accuracy=4)
     eta = q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")), accuracy=4)
     probes = ops.gaussian_probes(g)
     sparse = (ops.intertwining_residual(eta, H, probes), *ops.hermiticity_indicators(eta, probes))
@@ -221,7 +221,7 @@ def test_zero_scale_gives_zero_for_zero_defect_and_inf_otherwise():
     g = q.make_grid(8.0, 120)
     probes = ops.gaussian_probes(g)
     minus = ops.eta_plus_minus(q.build_eta(g, q.ParityEta()))[1]  # the zero matrix
-    H = q.build_hamiltonian(g, q.SpecialB1(2.0))
+    H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0))
     with np.errstate(all="raise"):
         assert ops.intertwining_residual(minus, H, probes) == 0.0
         assert ops.hermiticity_indicators(minus, probes) == (0.0, 0.0)
@@ -232,9 +232,9 @@ def test_zero_scale_gives_zero_for_zero_defect_and_inf_otherwise():
 
 @pytest.mark.parametrize("spec,pt", [
     (q.CustomPotential(expr.parse("-2*sech(x)^2")), True),
-    (q.SpecialB1(2.0), True),
+    (q.ScarfII(2.0, 3.0), True),  # past the reality boundary, still PT-symmetric
     (q.scarf2_potential(2.0, 1.0), True),
-    (q.FirstOrderFamily(2.0, 0.3), True),
+    (q.first_order_potential(2.0, 0.3), True),
     (q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")), False),
     (q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.1*tanh(x)")), False),
 ])
@@ -330,7 +330,7 @@ def test_factorization_sech_profile():
     g = shared.grid(1600)
     pot = q.scarf2_potential(2.0, 1.0)
     a = expr.parse("-2.5*sech(x)")
-    eta = q.build_eta(g, q.SecondOrderEta(a, 0.0, 0.25, pot))
+    eta = q.build_eta(g, q.SecondOrderEta(a, 0.25, pot))
     rep = ops.verify_factorization(g, a, 0.0, expr.parse("tanh(x)/2"), eta)
     assert rep.riccati_defect <= 1e-10
     assert rep.probe_residual <= 1e-6
@@ -342,7 +342,7 @@ def test_factorization_constant_profile():
     c = 0.8
     a = expr.const(c)
     V = q.CustomPotential(expr.const(-c * c - 0.25))  # V = -a^2 - delta here
-    eta = q.build_eta(g, q.SecondOrderEta(a, 0.0, 0.25, V))
+    eta = q.build_eta(g, q.SecondOrderEta(a, 0.25, V))
     rep = ops.verify_factorization(g, a, 0.0, expr.const(0.0), eta)
     assert rep.riccati_defect <= 1e-14
     assert rep.probe_residual <= 1e-4  # D2 vs D1^2 stencil mismatch only
@@ -352,7 +352,7 @@ def test_factorization_flags_wrong_candidate():
     g = shared.grid(800)
     pot = q.scarf2_potential(2.0, 1.0)
     a = expr.parse("-2.5*sech(x)")
-    eta = q.build_eta(g, q.SecondOrderEta(a, 0.0, 0.25, pot))
+    eta = q.build_eta(g, q.SecondOrderEta(a, 0.25, pot))
     rep = ops.verify_factorization(g, a, 0.0, TANH, eta)
     assert rep.riccati_defect >= 0.1
     # the defect formula near x = 0 is |3/4 tanh^2 - sech^2/2| ~ 1/2
@@ -365,7 +365,7 @@ def test_factorization_flags_wrong_candidate():
 def test_factorization_pole_error():
     g = q.make_grid(4.0, 33)  # odd N: tanh vanishes at the origin node
     pot = q.scarf2_potential(2.0, 1.0)
-    eta = q.build_eta(g, q.SecondOrderEta(TANH, 1.0, 0.25, pot))
+    eta = q.build_eta(g, q.SecondOrderEta(TANH, 0.25, pot))
     with pytest.raises(PoleError):
         ops.verify_factorization(g, TANH, 1.0, expr.const(0.0), eta)
 
@@ -378,15 +378,6 @@ def test_adjoint_is_involutive():
     rng = np.random.default_rng(5)
     M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     np.testing.assert_array_equal(ops.adjoint(ops.adjoint(M)), M)
-
-
-def test_scarf2_spec_rejects_bad_parameters():
-    with pytest.raises(q.ConstraintError):
-        ops.ScarfII(A=-0.5, B=1.0)
-    with pytest.raises(q.ConstraintError):
-        ops.ScarfII(A=1.0, B=-2.0)
-    with pytest.raises(q.ConstraintError):
-        ops.ScarfII(A=1.0, B=0.5)  # A - B + 1/2 = 1 is an integer
 
 
 def test_probe_centers_restricted_to_inner_half():
