@@ -24,6 +24,7 @@ from .errors import NanAbortError, ParameterError, SolverError, ToolkitError
 from .grid import make_grid
 
 DEFAULTS = {"L": 16.0, "N": 1600, "T": 5.0, "dt": 1e-3, "tol": 1e-6}
+TOL_MOVE = 1e-3  # a bound level moves less than this between the N/2 and N grids
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NAN = 0, 2, 3, 4
 
@@ -144,10 +145,6 @@ def gauge_from_args(args) -> operators.GaugeSpec | None:
     return operators.GaugeSpec(beta=beta, nu=nu)
 
 
-def grid_from_args(args):
-    return make_grid(args.L, args.N)
-
-
 def analytic_levels(args) -> models.LevelSet | None:
     family = family_from_args(args)
     if family == "first-order":
@@ -173,14 +170,13 @@ def levelset_json(levels: models.LevelSet) -> dict:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def bound_filtered(potential, gauge, L: int, N: int, accuracy: int, tol_move: float = 1e-3,
-                   full: bool = True):
+def bound_filtered(potential, gauge, L: float, N: int, accuracy: int, full: bool = True):
     """The fine-grid (N) eigenvalues plus the two-grid (N/2 vs N) bound-state filter.
 
     With `full` the fine report holds all N eigenvalues (dense `eig`);
     otherwise only those with Re < 0, the filter's candidates.  The coarse
-    grid needs only Re < tol_move: a coarse level within tol_move of a
-    candidate has Re < tol_move, so every decision and kept movement is the
+    grid needs only Re < TOL_MOVE: a coarse level within TOL_MOVE of a
+    candidate has Re < TOL_MOVE, so every decision and kept movement is the
     one the whole coarse spectrum would give.
     """
     g_fine = make_grid(L, N)
@@ -188,8 +184,8 @@ def bound_filtered(potential, gauge, L: int, N: int, accuracy: int, tol_move: fl
     H_fine = operators.build_hamiltonian(g_fine, potential, gauge, accuracy)
     H_coarse = operators.build_hamiltonian(g_coarse, potential, gauge, accuracy)
     fine = eigen.eig(H_fine) if full else eigen.eig_below(H_fine, 0.0)
-    coarse = eigen.eig_below(H_coarse, tol_move)
-    bound = eigen.converged_bound_states(coarse.eigenvalues, fine.eigenvalues, tol_move)
+    coarse = eigen.eig_below(H_coarse, TOL_MOVE)
+    bound = eigen.converged_bound_states(coarse.eigenvalues, fine.eigenvalues, TOL_MOVE)
     return fine, bound
 
 
@@ -258,7 +254,7 @@ def eta_from_args(args, potential) -> operators.EtaSpec:
 def cmd_verify_eta(args) -> int:
     potential = potential_from_args(args)
     gauge = gauge_from_args(args)
-    grid = grid_from_args(args)
+    grid = make_grid(args.L, args.N)
     spec = eta_from_args(args, potential)
     H = operators.build_hamiltonian(grid, potential, gauge, args.accuracy)
     eta = operators.build_eta(grid, spec, args.accuracy)
@@ -392,7 +388,7 @@ def trace_csv(trace: evolve.EvolutionTrace) -> str:
 def cmd_evolve(args) -> int:
     potential = potential_from_args(args)
     gauge = gauge_from_args(args)
-    grid = grid_from_args(args)
+    grid = make_grid(args.L, args.N)
     if args.state_index is not None and not 0 <= args.state_index < grid.N:
         raise CliError(EXIT_CONFIG, f"--state-index must lie in [0, {grid.N - 1}], "
                        f"got {args.state_index}", {"state_index": args.state_index, "N": grid.N})
@@ -415,11 +411,10 @@ def cmd_evolve(args) -> int:
         # solve serves any index it covers; past them one dense solve runs.
         report = eigen.eig_below(H, 0.0, want_vectors=True, min_count=args.state_index + 1)
         psi0 = report.vectors[:, args.state_index]
-        psi0, _ = inner.pseudo_normalize(grid, w, psi0)
         diagnostics = {"solver": report.solver}
     else:
         psi0 = evolve.gaussian_state(grid, args.gauss_x0, args.gauss_sigma, args.gauss_k)
-        psi0, _ = inner.pseudo_normalize(grid, w, psi0)
+    psi0, _ = inner.pseudo_normalize(grid, w, psi0)
 
     trace = evolve.run(H, grid, w, psi0, psi0, args.T, args.dt)
     Q0 = trace.Q[0]

@@ -372,9 +372,10 @@ def evaluate(e: Expr, x: float) -> complex:
             return evaluate(left, x) / den
         case Pow(base, exponent):
             b = evaluate(base, x)
-            if b == 0 and exponent < 0:
-                raise DomainError(f"zero raised to negative power at x={x}", to_source(e))
-            return b ** exponent
+            try:
+                return b ** exponent
+            except (ZeroDivisionError, OverflowError) as exc:  # 0^-n, or b^n out of range
+                raise DomainError(f"{exc} at x={x}", to_source(e)) from None
         case Call(func, arg):
             v = evaluate(arg, x)
             try:
@@ -391,8 +392,11 @@ def evaluate_on(e: Expr, xs: np.ndarray) -> np.ndarray:
     point through the scalar path, which names the subterm.
     """
     xs = np.asarray(xs, dtype=float)
-    with np.errstate(all="ignore"):
-        out = np.asarray(_ev_np(e, xs), dtype=complex)
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(_ev_np(e, xs), dtype=complex)
+    except (ZeroDivisionError, OverflowError):  # a constant subterm, in Python complex
+        out = np.full(xs.shape, np.nan, dtype=complex)
     out = np.broadcast_to(out, xs.shape).astype(complex)
     bad = ~np.isfinite(out)
     if bad.any():
@@ -494,27 +498,26 @@ def to_source(e: Expr) -> str:
     return text
 
 
-def _fmt_real(v: float) -> tuple[str, int]:
-    if v < 0 or (v == 0 and str(v).startswith("-")):
-        return repr(v), _PREC_UNARY
-    return repr(v), _PREC_ATOM
+def _fmt_const(value: complex) -> tuple[str, int]:
+    """Text that parses back to value bit for bit.  Signed zeros count: they
+    pick the side of a branch cut (ln(-1 + 0i) = i pi, ln(-1 - 0i) = -i pi).
+    "a" parses to (a, +0), "-a" to (-a, -0) and "b*i" to (+0, b)."""
+    re_, im = value.real, value.imag
+    if im == 0 and np.signbit(re_) == np.signbit(im):
+        return repr(re_), _PREC_UNARY if np.signbit(re_) else _PREC_ATOM
+    if re_ == 0 and not np.signbit(re_):
+        return ("i", _PREC_ATOM) if im == 1 else (f"{im!r}*i", _PREC_PROD)
+    if re_ != 0 and im != 0:
+        return f"({re_!r} {'-' if im < 0 else '+'} {abs(im)!r}*i)", _PREC_ATOM
+    if np.signbit(re_):  # (re, -0) - (+0, -im) is exact for every im
+        return f"({float(re_)!r} - {-float(im)!r}*i)", _PREC_ATOM
+    return "-" + _fmt_const(-value)[0], _PREC_UNARY  # im is -0.0
 
 
 def _fmt(e: Expr) -> tuple[str, int]:
     match e:
         case Const(value):
-            re_, im = value.real, value.imag
-            if im == 0:
-                return _fmt_real(re_)
-            if re_ == 0:
-                if im == 1:
-                    return "i", _PREC_ATOM
-                s, _ = _fmt_real(im)
-                return f"{s}*i", _PREC_PROD
-            rs, _ = _fmt_real(re_)
-            op = "-" if im < 0 else "+"
-            is_, _ = _fmt_real(abs(im))
-            return f"({rs} {op} {is_}*i)", _PREC_ATOM
+            return _fmt_const(value)
         case Var():
             return "x", _PREC_ATOM
         case Neg(child):

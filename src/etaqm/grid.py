@@ -5,9 +5,11 @@ the whole state.  Bound states of the target potentials decay exponentially,
 which makes the box-truncation error exponentially small in L.
 
 The mesh is built to be *exactly* mirror symmetric (x_j == -x_{N-1-j} in
-floating point) and the difference matrices are exactly parity symmetric
-(P D2 P = D2, P D1 P = -D1).  Several pseudo-Hermiticity identities used by
-the tests then hold to rounding rather than to discretization accuracy.
+floating point).  The difference matrices carry one centered stencil on every
+row, with odd-reflection ghost nodes past the walls, and are exactly parity
+symmetric (P D2 P = D2, P D1 P = -D1), D2 exactly symmetric and D1 exactly
+antisymmetric off its diagonal.  Several pseudo-Hermiticity identities used
+by the tests then hold to rounding rather than to discretization accuracy.
 """
 
 from __future__ import annotations
@@ -86,13 +88,16 @@ def fornberg_weights(z: float, nodes: np.ndarray, m: int) -> np.ndarray:
 
 
 def diff_matrix(grid: Grid, order: int, accuracy: int = 2):
-    """Sparse (CSR) N x N derivative matrix with Dirichlet-consistent closures.
+    """Sparse (CSR) N x N derivative matrix: one centered stencil on every row.
 
-    Interior rows share one centered stencil (antisymmetric for order 1,
-    symmetric for order 2).  Rows whose centered stencil would reach past the
-    boundary nodes use biased stencils of matching accuracy; the known zero
-    boundary values at +-L are folded in (their columns are dropped).  The
-    bandwidth is 1 at accuracy 2 and 4 at accuracy 4 (the closures).
+    Nodes -1 and N are the walls (psi = 0); ghosts past them hold the odd
+    reflection psi[-1 - m] = -psi[m - 1], psi[N + m] = -psi[N - m], and each
+    ghost weight is folded, negated, into its row's entry for the mirror node.
+    The bandwidth is 1 at accuracy 2 (no stencil reaches a ghost) and 2 at
+    accuracy 4, where D1 gains the diagonal entries -+1/(12h) at rows 0, N-1.
+    4th order needs psi'' = 0 at the wall: true for eigenstates of p^2 + V
+    (psi'' = (V - E) psi), but the gauged H has psi'' = 2 beta nu psi' there,
+    so a level whose tail reaches the wall converges at 2nd order.
     """
     import scipy.sparse as sp
 
@@ -102,35 +107,20 @@ def diff_matrix(grid: Grid, order: int, accuracy: int = 2):
         raise ParameterError(f"accuracy must be 2 or 4, got {accuracy}")
     N, h = grid.N, grid.h
 
-    # Index space includes virtual boundary nodes -1 and N (value 0).
-    # Weights are generated from exact integer offsets times h, so equal
-    # rows get bitwise-equal stencils (keeps centered D1 exactly
-    # antisymmetric and D2 exactly symmetric).
     radius = (order + accuracy - 1) // 2
-    centered = 2 * radius + 1
     offsets = np.arange(-radius, radius + 1)
-    interior = np.arange(radius - 1, N - radius + 1)  # stencil stays within -1..N
-    rows = [np.repeat(interior, centered)]
-    cols = [(interior[:, None] + offsets).ravel()]
-    vals = [np.tile(fornberg_weights(0.0, offsets * h, order), len(interior))]
-    # biased closures: one extra node restores the centered accuracy
-    width = centered + 1
-    for j in (*range(radius - 1), *range(N - radius + 1, N)):
-        lo = max(-1, min(j - radius, N + 1 - width))
-        ks = np.arange(lo, lo + width)
-        rows.append(np.full(width, j))
-        cols.append(ks)
-        vals.append(fornberg_weights(0.0, (ks - j) * h, order))
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    inside = (cols >= 0) & (cols < N)
-    rows, cols, vals = rows[inside], cols[inside], vals[inside]
+    cols = np.arange(N)[:, None] + offsets  # band storage: row j, column j + offset
+    W = np.tile(fornberg_weights(0.0, offsets * h, order), (N, 1))
+    ghost = np.flatnonzero((cols < -1) | (cols > N))
+    k = cols.ravel()[ghost]  # its mirror node is -2 - k or 2N - k, in the same row
+    np.add.at(W.ravel(), ghost + np.where(k < 0, -2 - 2 * k, 2 * N - 2 * k), -W.ravel()[ghost])
 
-    # Enforce exact parity symmetry, M -> 0.5 (M + sign P M P), by summing each
-    # entry with its mirror image; a no-op beyond rounding for a correct build.
+    # Exact parity symmetry, M -> 0.5 (M + sign P M P); P M P reverses both axes
+    # of the band.  The transpose adds the same two terms in the other order, so
+    # D2 is exactly symmetric and D1 antisymmetric (Fornberg weights on +-kh are
+    # not bitwise symmetric).  Zeros, as on the diagonal of a centered D1, drop.
     sign = 1.0 if order == 2 else -1.0
-    mirrored = (np.concatenate([rows, N - 1 - rows]), np.concatenate([cols, N - 1 - cols]))
-    M = sp.coo_array((np.concatenate([vals, sign * vals]).astype(complex), mirrored),
-                     shape=(N, N)).tocsr()
-    M.data *= 0.5
-    M.eliminate_zeros()  # the exactly cancelled diagonal of a centered D1
-    return M
+    W = 0.5 * (W + sign * W[::-1, ::-1])
+    keep = (cols >= 0) & (cols < N) & (W != 0)  # drops the walls and the ghosts
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return sp.csr_array((W[keep].astype(complex), cols[keep], indptr), shape=(N, N))

@@ -305,15 +305,15 @@ def test_trace_csv_is_byte_identical_to_the_per_value_format(rows):
     assert cli.trace_csv(trace) == _trace_csv_per_value(trace)
 
 
-@pytest.mark.parametrize("gauge,eig_calls_before", [
-    ((), 1),
-    (("--beta", "0.5", "--accuracy", "4"), 2),
+@pytest.mark.parametrize("size,eig_calls_before", [
+    (("--N", "400"), 1),
+    (("--beta", "0.5", "--accuracy", "4", "--N", "96"), 2),
 ], ids=["shift-invert", "dense-fallback"])
 def test_evolve_state_index_past_the_bound_levels_runs_one_dense_solve(
-        monkeypatch, capsys, tmp_path, gauge, eig_calls_before):
+        monkeypatch, capsys, tmp_path, size, eig_calls_before):
     # special-b1 A=2 has three Re < 0 levels, so index 5 needs the dense
-    # solve.  On the gauged accuracy-4 H the sparse solve itself falls back
-    # to dense eig, and a second dense solve used to follow.
+    # solve.  Below N = 128 the sparse solve itself falls back to dense eig
+    # (k would pass N / 8), and a second dense solve used to follow.
     calls = []
     dense = eigen.eig
     below = eigen.eig_below
@@ -323,7 +323,7 @@ def test_evolve_state_index_past_the_bound_levels_runs_one_dense_solve(
         report = below(H, top, want_vectors, tol)
         return report if len(report.eigenvalues) >= min_count else eigen.eig(H, want_vectors)
 
-    argv = ["evolve", "--family", "special-b1", "--A", "2", *gauge, "--L", "16", "--N", "400",
+    argv = ["evolve", "--family", "special-b1", "--A", "2", *size, "--L", "16",
             "--T", "0.01", "--state-index", "5"]
     outputs = []
     for solve in (two_solves, below):

@@ -302,10 +302,20 @@ def test_eig_below_finds_the_odd_level_of_a_non_pt_even_potential():
     assert np.linalg.norm(v_odd + v_odd[::-1]) <= 1e-8 * np.linalg.norm(v_odd)
 
 
-def test_eig_below_falls_back_to_dense_for_the_gauged_accuracy_4_grid():
-    # Gershgorin puts the numerical range of this H in a box so wide that the
-    # disc about it holds more than N/8 levels: the dense solver takes over.
+def test_eig_below_runs_shift_invert_on_the_gauged_accuracy_4_grid():
+    # the odd-reflection wall rows keep -D2 symmetric, so the Gershgorin box
+    # of this H stays narrow and the disc about it holds few levels
     H = shared.hamiltonian("special-b1", 2.0, 0.0, 400, shared.GAUGE_BETA, 4)
+    rep = eigen.eig_below(H, 1e-3)
+    assert rep.solver == "shift-invert"
+    _assert_matches_dense_below(rep, eigen.eig(H), 1e-3)
+
+
+def test_eig_below_falls_back_to_dense_when_k_would_pass_n_over_k_fraction():
+    # below n = _K_FRACTION * _K_START ARPACK is never asked: the dense solver runs
+    N = 96
+    assert N < eigen._K_FRACTION * eigen._K_START
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, N)
     rep = eigen.eig_below(H, 1e-3)
     assert rep.solver == "real-pt"
     _assert_matches_dense_below(rep, eigen.eig(H), 1e-3)

@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etaqm import expr
 from etaqm.expr import DomainError, ParseError, derive, evaluate, evaluate_on, parse, to_source, tokenize
@@ -150,6 +152,40 @@ def test_round_trip_of_programmatic_constants():
     e = expr.mul(expr.const(-1.5 + 2.0j), expr.call("sech", expr.var()))
     back = parse(to_source(e))
     assert evaluate(back, 0.7) == pytest.approx(evaluate(e, 0.7), rel=1e-14)
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    st.just(expr.var()),
+    _FINITE.map(expr.const),
+    st.builds(complex, _FINITE, _FINITE).map(expr.const),
+)
+
+
+def _extend(children):
+    binary = st.sampled_from([expr.add, expr.sub, expr.mul, expr.div])
+    return st.one_of(
+        children.map(expr.neg),
+        st.builds(expr.power, children, st.integers(-3, 3)),
+        st.builds(expr.call, st.sampled_from(sorted(expr._FUNCTIONS)), children),
+        st.builds(lambda op, a, b: op(a, b), binary, children, children),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _extend, max_leaves=8))
+def test_print_parse_round_trip_of_generated_trees(e):
+    back = parse(to_source(e))
+    xs = np.linspace(-4.7, 4.7, 37)
+    try:
+        want = evaluate_on(e, xs)
+    except DomainError:
+        with pytest.raises(DomainError):
+            evaluate_on(back, xs)
+        return
+    got = evaluate_on(back, xs)
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
 
 
 def test_expressions_are_immutable():

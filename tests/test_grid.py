@@ -112,22 +112,22 @@ def test_diff_matrix_rejects_bad_orders():
 
 
 def _row_by_row_reference(g, order, accuracy):
-    """Dense derivative matrix built one Fornberg call per row: the oracle
-    that the banded diff_matrix must reproduce bit for bit."""
+    """Dense derivative matrix built one Fornberg call per row, each ghost
+    node past a wall folded into its mirror node by odd reflection: the
+    oracle that the banded diff_matrix must reproduce bit for bit."""
     N, h = g.N, g.h
     radius = (order + accuracy - 1) // 2
-    centered = 2 * radius + 1
     M = np.zeros((N, N), dtype=complex)
     for j in range(N):
-        lo, hi = j - radius, j + radius
-        if lo >= -1 and hi <= N:
-            ks = list(range(lo, hi + 1))
-        else:
-            width = centered + 1
-            lo = max(-1, min(j - radius, N + 1 - width))
-            ks = list(range(lo, lo + width))
+        ks = list(range(j - radius, j + radius + 1))
         w = fornberg_weights(0.0, np.array([(k - j) * h for k in ks]), order)
+        row = dict(zip(ks, w))
         for k, wk in zip(ks, w):
+            if k < -1:  # psi[k] = -psi[-2 - k]
+                row[-2 - k] -= wk
+            elif k > N:  # psi[k] = -psi[2N - k]
+                row[2 * N - k] -= wk
+        for k, wk in row.items():
             if 0 <= k < N:
                 M[j, k] = wk
     sign = 1.0 if order == 2 else -1.0
@@ -150,4 +150,13 @@ def test_banded_build_matches_row_by_row_reference(N, L, order, accuracy):
     sign = 1.0 if order == 2 else -1.0
     np.testing.assert_array_equal(dense, sign * dense[::-1, ::-1])
     coo = D.tocoo()
-    assert np.max(np.abs(coo.row - coo.col)) <= (1 if accuracy == 2 else 4)
+    assert np.max(np.abs(coo.row - coo.col)) <= (1 if accuracy == 2 else 2)
+    if order == 2:
+        np.testing.assert_array_equal(dense, dense.T)
+        return
+    diagonal = np.diag(np.diag(dense))
+    np.testing.assert_array_equal(dense - diagonal, -(dense - diagonal).T)
+    # the only stored diagonal entries are the odd-reflection folds at accuracy 4
+    on_diagonal = sorted(coo.row[coo.row == coo.col])
+    assert on_diagonal == ([0, N - 1] if accuracy == 4 else [])
+    assert dense[0, 0] == -dense[-1, -1]
