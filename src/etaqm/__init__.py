@@ -3,11 +3,12 @@
 Builds discretized non-Hermitian Hamiltonians as sparse matrices (the
 complex Scarf II potential and custom expressions, with optional imaginary
 gauge coupling) and the metric operators that intertwine them with their
-adjoints.  Spectra come from a real solve of PT-symmetric H (complex
-otherwise), or from certified sparse shift-invert for the Re < 0 levels,
-and are classified into real levels and conjugate pairs against analytic
-levels.  Crank-Nicolson evolution verifies the generalized
-continuity/conservation law and eta-orthogonality.
+adjoints.  Spectra come from one dense `scipy.linalg.eig` call, on a real
+fold of PT-symmetric H (on the complex H otherwise), or from certified
+sparse shift-invert for the Re < 0 levels, and are classified into real
+levels and conjugate pairs against analytic levels.  Crank-Nicolson
+evolution verifies the generalized continuity/conservation law and
+eta-orthogonality.
 """
 
 from .errors import (

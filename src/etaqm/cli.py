@@ -539,10 +539,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for name in ("L", "N", "T", "dt", "beta", "tol"):
-            v = getattr(args, name, None)
-            if v is not None and not np.isfinite(v):
-                raise CliError(EXIT_CONFIG, f"flag --{name} must be finite, got {v}")
+        for name, v in vars(args).items():
+            if isinstance(v, float) and not np.isfinite(v):
+                flag = name.replace("_", "-")
+                raise CliError(EXIT_CONFIG, f"flag --{flag} must be finite, got {v}")
         return args.fn(args)
     except CliError as exc:
         emit_error(exc.code, str(exc), exc.context)

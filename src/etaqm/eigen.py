@@ -1,11 +1,11 @@
 """Non-Hermitian eigensolvers and spectrum classification.
 
-`eig` returns all N eigenvalues by dense LAPACK (the real `geev` for
-PT-symmetric input).  `eig_below` returns only those with Re < top, by
-shift-invert Arnoldi (ARPACK) certified complete by a bound on the numerical
-range, and falls back to `eig` when that would be costly or fails; the CLI
-uses it wherever only the low levels are read: the coarse grid of the
-two-grid filter, the sweep rows and `evolve --state-index`.
+`eig` returns all N eigenvalues from one dense `scipy.linalg.eig` call, on
+the real fold S^H H S for PT-symmetric input.  `eig_below` returns only
+those with Re < top, by shift-invert Arnoldi (ARPACK) certified complete by
+a bound on the numerical range, and falls back to `eig` when that would be
+costly or fails; the CLI uses it wherever only the low levels are read: the
+coarse grid of the two-grid filter, the sweep rows and `evolve --state-index`.
 
 Pseudo-Hermitian spectra are real or come in complex-conjugate pairs; the
 classifier tags each eigenvalue accordingly.  Bound states of box-truncated
@@ -29,19 +29,15 @@ __all__ = ["SpectrumReport", "eig", "eig_below", "pt_real_basis", "classify_spec
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues sorted by (Re, Im), optional eigenvectors (columns), the
-    real / pair-member / unpaired classification, and the solver that ran
-    ("real-pt" or "complex", see `eig`; "shift-invert", see `eig_below`)."""
+    real / pair-member / unpaired classification (`classify_spectrum` at
+    tol 1e-6), and the solver that ran ("real-pt" or "complex", see `eig`;
+    "shift-invert", see `eig_below`)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray | None
     classification: tuple[str, ...]
     pairing: dict[int, int]
-    tol_used: float
     solver: str
-
-    def real_values(self) -> np.ndarray:
-        mask = [tag == "real" for tag in self.classification]
-        return self.eigenvalues[mask]
 
 
 # Im R is treated as rounding when max|Im R| <= _FOLD_TOL * max|H|.  Dropping
@@ -50,6 +46,7 @@ class SpectrumReport:
 _FOLD_TOL = 8 * np.finfo(float).eps
 # Every returned pair satisfies ||H v - lambda v|| <= _BACKWARD_TOL ||H||_F ||v||.
 _BACKWARD_TOL = 1e-10
+_CLASSIFY_TOL = 1e-6  # the `classify_spectrum` tolerance of every report
 _BLOCK = 64  # columns per block when mapping back and checking eigenvectors
 _K_START = 16  # first number of eigenvalues `eig_below` asks of ARPACK
 _K_FRACTION = 8  # dense eig takes over when k would pass n / _K_FRACTION
@@ -103,18 +100,18 @@ def _pt_fold(H):
     return S, None
 
 
-def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
+def eig(M, want_vectors: bool = False) -> SpectrumReport:
     """All eigenvalues of a square matrix (LAPACK QR iteration), sorted by (Re, Im).
 
     The Hamiltonians of the paper commute with the antilinear operator PT,
     so their characteristic polynomial is real and the matrix is unitarily
     similar to a real one.  `pt_real_basis` gives that similarity: R =
     S^H M S is formed sparse, in O(nnz).  When max|Im R| is rounding
-    (`_FOLD_TOL` eps max|M|), the dense float64 Re R goes to the real
-    `geev`, about 3-4x faster than the complex one, and the eigenvectors
-    are mapped back as S Y (solver "real-pt").  Real levels then have Im
-    exactly 0, and conjugate pairs are exact conjugates, listed -Im first.
-    Any other matrix takes the complex `geev` on the dense M, unchanged
+    (`_FOLD_TOL` eps max|M|), `scipy.linalg.eig` solves the dense float64
+    Re R (the real `geev`, about 3-4x faster than the complex one), and the
+    eigenvectors are mapped back as S Y (solver "real-pt").  Real levels then
+    have Im exactly 0, and conjugate pairs are exact conjugates, listed -Im
+    first.  Any other matrix is solved as the dense complex M, unchanged
     (solver "complex").  A dense M goes through the same test as CSR.
 
     With vectors requested, every pair is checked against the backward-error
@@ -126,27 +123,20 @@ def eig(M, want_vectors: bool = False, tol: float = 1e-6) -> SpectrumReport:
     try:
         if R is not None:
             solver = "real-pt"
-            vals, vecs = _real_eig(R.toarray(order="F"), S, want_vectors)
+            vals, vecs = _dense_eig(R.toarray(order="F"), S, want_vectors)
         else:
             solver = "complex"
-            vals, vecs = _complex_eig(H.toarray(order="F"), want_vectors)
+            vals, vecs = _dense_eig(H.toarray(order="F"), None, want_vectors)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
     if vecs is not None:
         _check_backward_error(H, vals, vecs)
-    return _report(vals, vecs, tol, solver)
+    return _report(vals, vecs, solver)
 
 
-def _report(vals: np.ndarray, vecs, tol: float, solver: str) -> SpectrumReport:
-    tags, pairing = classify_spectrum(vals, tol)
-    return SpectrumReport(
-        eigenvalues=vals,
-        vectors=vecs,
-        classification=tuple(tags),
-        pairing=pairing,
-        tol_used=tol,
-        solver=solver,
-    )
+def _report(vals: np.ndarray, vecs, solver: str) -> SpectrumReport:
+    tags, pairing = classify_spectrum(vals, _CLASSIFY_TOL)
+    return SpectrumReport(vals, vecs, tuple(tags), pairing, solver)
 
 
 def _numerical_range_box(H) -> tuple[float, float]:
@@ -168,7 +158,7 @@ def _numerical_range_box(H) -> tuple[float, float]:
     return lo, b
 
 
-def eig_below(M, top: float, want_vectors: bool = False, tol: float = 1e-6,
+def eig_below(M, top: float, want_vectors: bool = False,
               min_count: int = 0) -> SpectrumReport:
     """Every eigenvalue with Re lambda < top, sorted by (Re, Im), by
     shift-invert Arnoldi (ARPACK) with a completeness certificate; with
@@ -197,7 +187,6 @@ def eig_below(M, top: float, want_vectors: bool = False, tol: float = 1e-6,
     if not 0 <= min_count <= n:
         raise ParameterError(f"min_count must lie in [0, {n}], got {min_count}")
     lo, b = _numerical_range_box(H)
-    found = None
     if top > lo:
         c = 0.5 * (lo + top)
         # slack for rounding in lo, b and the Ritz values
@@ -208,21 +197,19 @@ def eig_below(M, top: float, want_vectors: bool = False, tol: float = 1e-6,
                 _check_backward_error(H, *found)
             except SolverError:
                 found = None
-    elif not min_count:  # no eigenvalue has Re < lo
-        return _report(np.empty(0, dtype=complex),
-                       np.empty((n, 0), dtype=complex) if want_vectors else None, tol,
-                       "shift-invert")
+    else:  # no eigenvalue has Re < lo
+        found = (np.empty(0, dtype=complex),
+                 np.empty((n, 0), dtype=complex) if want_vectors else None)
     if found is not None:
         vals, vecs = found
         idx = np.flatnonzero(vals.real < top)
         if len(idx) >= min_count:
             idx = idx[np.lexsort((vals[idx].imag, vals[idx].real))]
-            return _report(vals[idx], vecs[:, idx] if want_vectors else None, tol,
-                           "shift-invert")
-    rep = eig(H, want_vectors=want_vectors, tol=tol)
+            return _report(vals[idx], vecs[:, idx] if want_vectors else None, "shift-invert")
+    rep = eig(H, want_vectors=want_vectors)
     keep = max(np.count_nonzero(rep.eigenvalues.real < top), min_count)
     vecs = rep.vectors[:, :keep].copy() if want_vectors else None  # release the other columns
-    return _report(rep.eigenvalues[:keep], vecs, tol, rep.solver)
+    return _report(rep.eigenvalues[:keep], vecs, rep.solver)
 
 
 def _shift_invert(H, c: float, r: float, want_vectors: bool):
@@ -254,53 +241,28 @@ def _shift_invert(H, c: float, r: float, want_vectors: bool):
     return None
 
 
-def _complex_eig(A: np.ndarray, want_vectors: bool):
-    """Eigenpairs of A, which `eig` owns and LAPACK may overwrite."""
-    if want_vectors:
-        vals, vecs = scipy.linalg.eig(A, overwrite_a=True)
-    else:
-        vals, vecs = scipy.linalg.eigvals(A, overwrite_a=True), None
-    del A
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], None if vecs is None else vecs[:, order]
+def _dense_eig(A: np.ndarray, S, want_vectors: bool):
+    """Eigenpairs of a Fortran-ordered A that LAPACK may overwrite, sorted by
+    (Re, Im); with the fold's S, those of S A S^H, the vectors mapped back as
+    S Y.
 
-
-def _real_eig(A: np.ndarray, S, want_vectors: bool):
-    """Eigenpairs of S A S^H for a real Fortran-ordered A that LAPACK may overwrite.
-
-    The real `geev` stores a conjugate pair lambda_k = wr + i wi (wi > 0) as
-    y_k = VR[:, k] + i VR[:, k+1] and y_{k+1} = conj(y_k).  The (Re, Im)
-    ordering and the back-map V = S Y are applied together, one block of
-    columns at a time, after the dense A is released.
+    For a real A the real `geev` runs, and scipy returns a conjugate pair's
+    vectors as y, conj(y).  The ordering and the back-map are applied
+    together, one block of columns at a time into one preallocated array,
+    after the dense A is released.
     """
-    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), (A,))
-    n = A.shape[0]
-    flag = int(want_vectors)
-    # the optimal workspace: with the minimum 4n the Hessenberg reduction runs unblocked
-    work, _ = geev_lwork(n, compute_vl=0, compute_vr=flag)
-    lwork = max(int(work), 4 * n, 1)
-    wr, wi, _, vr, info = geev(A, compute_vl=0, compute_vr=flag, lwork=lwork, overwrite_a=1)
+    out = scipy.linalg.eig(A, right=want_vectors, overwrite_a=True, check_finite=False)
     del A
-    if info != 0:
-        raise SolverError(f"eigensolver did not converge (geev info = {info})")
-    vals = wr + 1j * wi
+    vals, vecs = out if want_vectors else (out, None)
     order = np.lexsort((vals.imag, vals.real))
-    if not want_vectors:
+    if vecs is None:
         return vals[order], None
-    k = np.arange(n)
-    first = wi > 0
-    second = np.zeros(n, dtype=bool)
-    second[1:] = first[:-1]
-    re_col = np.where(second, k - 1, k)
-    im_col = np.where(first, k + 1, k)
-    im_sign = np.where(first, 1.0, np.where(second, -1.0, 0.0))
-    vecs = np.empty((n, n), dtype=complex, order="F")
-    for p0 in range(0, n, _BLOCK):
-        ks = order[p0:p0 + _BLOCK]
-        Y = vr[:, re_col[ks]].astype(complex)
-        Y.imag = vr[:, im_col[ks]] * im_sign[ks]
-        vecs[:, p0:p0 + _BLOCK] = S @ Y
-    return vals[order], vecs
+    if S is None:
+        return vals[order], vecs[:, order]
+    V = np.empty(vecs.shape, dtype=complex, order="F")
+    for p0 in range(0, len(order), _BLOCK):
+        V[:, p0:p0 + _BLOCK] = S @ vecs[:, order[p0:p0 + _BLOCK]]
+    return vals[order], V
 
 
 def _check_backward_error(H, vals: np.ndarray, vecs: np.ndarray) -> None:

@@ -263,7 +263,10 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "number":
-            return Const(complex(float(tok.lexeme)))
+            value = float(tok.lexeme)
+            if not np.isfinite(value):
+                raise ParseError(f"number {tok.lexeme!r} overflows a float", tok.pos)
+            return Const(complex(value))
         if tok.kind == "ident":
             if tok.lexeme == "i":
                 return Const(1j)
@@ -493,7 +496,8 @@ _PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def to_source(e: Expr) -> str:
-    """Render back to parseable text; parse(to_source(e)) evaluates like e."""
+    """Render back to parseable text; parse(to_source(e)) evaluates like e
+    when every constant of e is finite, as in every tree that `parse` builds."""
     text, _ = _fmt(e)
     return text
 

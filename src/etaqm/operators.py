@@ -284,7 +284,7 @@ def _probe_residual(defect_apply, scale: float, probes, margin: int = _PROBE_MAR
     """max_w ||defect w|| / (scale ||w||) over the rows inside the margin.
 
     An exactly zero defect counts as 0 whatever the scale; a nonzero defect
-    over a zero scale is inf.
+    over a zero scale is inf.  A NaN in the defect or the scale gives NaN.
     """
     worst = 0.0
     for w in probes:
@@ -292,8 +292,8 @@ def _probe_residual(defect_apply, scale: float, probes, margin: int = _PROBE_MAR
         if num == 0.0:
             continue
         den = scale * np.linalg.norm(w)
-        worst = max(worst, num / den if den > 0 else np.inf)
-    return worst
+        worst = np.maximum(worst, num / den if den != 0 else np.inf)  # NaN propagates
+    return float(worst)
 
 
 def intertwining_residual(eta, H, probes) -> float:

@@ -319,8 +319,8 @@ def test_evolve_state_index_past_the_bound_levels_runs_one_dense_solve(
     below = eigen.eig_below
     monkeypatch.setattr(eigen, "eig", lambda *a, **k: calls.append(1) or dense(*a, **k))
 
-    def two_solves(H, top, want_vectors=False, tol=1e-6, min_count=0):
-        report = below(H, top, want_vectors, tol)
+    def two_solves(H, top, want_vectors=False, min_count=0):
+        report = below(H, top, want_vectors)
         return report if len(report.eigenvalues) >= min_count else eigen.eig(H, want_vectors)
 
     argv = ["evolve", "--family", "special-b1", "--A", "2", *size, "--L", "16",
@@ -388,3 +388,22 @@ def test_levels_rejects_missing_family_flags_like_spectrum(capsys, family):
         errors.append(json.loads(captured.err))
     assert errors[0] == errors[1]
     assert errors[0]["code"] == 2 and f"{family[0]} family needs" in errors[0]["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag,argv", [
+    ("--delta", ["verify-eta", "--eta", "second-order", "--a=-2.5*sech(x)",
+                 "--family", "scarf2", "--A", "2", "--B", "1"]),
+    ("--gamma", ["verify-eta", "--eta", "second-order", "--a=-2.5*sech(x)",
+                 "--family", "scarf2", "--A", "2", "--B", "1"]),
+    ("--k", ["spectrum", "--family", "first-order", "--d", "2"]),
+    ("--V1", ["sweep", "--axis", "V2", "--start", "0", "--stop", "1", "--step", "1"]),
+    ("--start", ["sweep", "--axis", "V2", "--stop", "1", "--step", "1"]),
+    ("--gauss-sigma", ["evolve", "--V", "0", "--T", "0.01"]),
+])
+def test_every_float_flag_must_be_finite(capsys, flag, argv, value):
+    assert cli.main([*argv, "--N", "40", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["code"] == 2 and err["message"] == f"flag {flag} must be finite, got {value}"

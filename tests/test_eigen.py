@@ -108,18 +108,26 @@ def _pt_matrix(N, seed, kinetic):
 def test_real_pt_path_matches_complex_eigvals(N, seed, kinetic):
     M = _pt_matrix(N, seed, kinetic)
     assert np.array_equal(np.conj(M[::-1, ::-1]), M)
-    rep = eigen.eig(sp.csr_array(M))
-    assert rep.solver == "real-pt"
-    vals = rep.eigenvalues
     ref = scipy.linalg.eigvals(M)
-    dist = np.abs(vals[:, None] - ref[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(dist)
-    assert np.all(dist[rows, cols] <= 1e-9 * (1 + np.abs(vals[rows])))
-    # real levels are exactly real; a pair is exact conjugates, -Im first
-    assert all(v.imag == 0 for v, tag in zip(vals, rep.classification) if tag == "real")
-    for i in np.flatnonzero(vals.imag < 0):
-        assert vals[i + 1] == np.conj(vals[i])
-    assert np.count_nonzero(vals.imag > 0) == np.count_nonzero(vals.imag < 0)
+    for want_vectors in (False, True):
+        rep = eigen.eig(sp.csr_array(M), want_vectors=want_vectors)
+        assert rep.solver == "real-pt"
+        vals = rep.eigenvalues
+        dist = np.abs(vals[:, None] - ref[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(dist)
+        assert np.all(dist[rows, cols] <= 1e-9 * (1 + np.abs(vals[rows])))
+        # real levels are exactly real; a pair is exact conjugates, -Im first
+        assert all(v.imag == 0 for v, tag in zip(vals, rep.classification) if tag == "real")
+        for i in np.flatnonzero(vals.imag < 0):
+            assert vals[i + 1] == np.conj(vals[i])
+        assert np.count_nonzero(vals.imag > 0) == np.count_nonzero(vals.imag < 0)
+    # a real level's vector is PT-invariant, and PT maps a pair's first
+    # vector onto its second, bit for bit
+    V = rep.vectors
+    for k in np.flatnonzero(vals.imag == 0):
+        assert np.array_equal(V[:, k], np.conj(V[::-1, k]))
+    for k in np.flatnonzero(vals.imag < 0):
+        assert np.array_equal(V[:, k + 1], np.conj(V[::-1, k]))
 
 
 def test_non_pt_input_takes_the_unchanged_complex_path():
@@ -171,6 +179,36 @@ def test_pairing_satisfies_conjugate_bound():
     for i, j in pairing.items():
         assert abs(vals[i] - np.conj(vals[j])) <= 1e-8 * (1 + abs(vals[i]))
         assert pairing[j] == i
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sites=st.lists(st.integers(-200, 200), unique=True, max_size=24),
+    n_real=st.integers(0, 24),
+    jitter=st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24),
+    heights=st.lists(st.floats(0.1, 5.0), min_size=24, max_size=24),
+    tol=st.floats(1e-12, 1e-4),
+    data=st.data(),
+)
+def test_classify_spectrum_pairs_drawn_conjugates_and_moves_tags_with_values(
+        sites, n_real, jitter, heights, tol, data):
+    # values sit at Re = site / 2, so distinct values are farther apart than
+    # tol (1 + |lambda|) <= 1e-4 * 106; a real value gets |Im| up to that bound
+    n_real = min(n_real, len(sites))
+    reals = [s / 2 + 1j * f * tol * (1 + abs(s / 2)) for s, f in zip(sites[:n_real], jitter)]
+    pairs = [s / 2 + 1j * h for s, h in zip(sites[n_real:], heights)]
+    vals = np.array(reals + pairs + [np.conj(z) for z in pairs], dtype=complex)
+    vals = vals[data.draw(st.permutations(range(len(vals))))]
+    tags, pairing = eigen.classify_spectrum(vals, tol)
+    assert all(pairing[j] == i != j for i, j in pairing.items())
+    assert len(pairing) == 2 * len(pairs)
+    assert sorted(pairing) == [i for i, t in enumerate(tags) if t == "pair-member"]
+    for v, t in zip(vals, tags):
+        assert (t == "real") == (abs(v.imag) <= tol * (1 + abs(v)))
+    perm = data.draw(st.permutations(range(len(vals))))
+    tags2, pairing2 = eigen.classify_spectrum(vals[perm], tol)
+    assert tags2 == [tags[p] for p in perm]
+    assert {perm[i]: perm[j] for i, j in pairing2.items()} == pairing
 
 
 @pytest.mark.parametrize("kind,p1,p2", [

@@ -56,6 +56,13 @@ def test_syntax_errors_carry_positions(src, pos_max):
     assert 0 <= exc.value.position <= max(pos_max, len(src) + 1)
 
 
+@pytest.mark.parametrize("src,pos", [("1e999*x", 0), ("x + 2.5E+400", 4), ("-1e309", 1)])
+def test_overflowing_number_literal_is_a_parse_error(src, pos):
+    with pytest.raises(ParseError, match="overflows") as exc:
+        parse(src)
+    assert exc.value.position == pos
+
+
 def test_eval_examples():
     assert evaluate(parse("tanh(x)"), 0.5) == pytest.approx(0.46211715726000974)
     assert evaluate(parse("exp(i*x)"), 0.0) == pytest.approx(1 + 0j)

@@ -230,6 +230,16 @@ def test_zero_scale_gives_zero_for_zero_defect_and_inf_otherwise():
     assert rep.probe_residual == np.inf
 
 
+def test_an_infinite_eta_entry_gives_nan_defects_not_zero():
+    # delta = inf puts -inf on the diagonal: eta - eta^dag holds inf - inf
+    g = q.make_grid(8.0, 120)
+    pot = q.scarf2_potential(2.0, 1.0)
+    with np.errstate(invalid="ignore"):
+        eta = q.build_eta(g, q.SecondOrderEta(expr.parse("-2.5*sech(x)"), np.inf, pot))
+        herm, anti = ops.hermiticity_indicators(eta, ops.gaussian_probes(g))
+    assert np.isnan(herm) and np.isnan(anti)
+
+
 @pytest.mark.parametrize("spec,pt", [
     (q.CustomPotential(expr.parse("-2*sech(x)^2")), True),
     (q.ScarfII(2.0, 3.0), True),  # past the reality boundary, still PT-symmetric
