@@ -3,9 +3,11 @@
 Two fields obey i d/dt psi = H psi: psi1, and psi2, which enters through
 phi(x,t) = conj(psi2(-x,t)).  Both are stepped forward together with one
 Crank-Nicolson factorization, and phi is formed from psi2 when a step is
-recorded, so no symmetry of H is assumed.  A step is psi' = A^-1 B psi with
-A = I + (i dt/2) H and B = I - (i dt/2) H; since A + B = 2I, A^-1 B =
-2 A^-1 - I, so a step is one sparse LU solve and an axpy, with no B.
+recorded, so no symmetry of H is assumed.  When psi2(0) equals psi1(0) bit
+for bit, the two fields stay equal, so only one is stepped.  A step is
+psi' = A^-1 B psi with A = I + (i dt/2) H and B = I - (i dt/2) H; since
+A + B = 2I, A^-1 B = 2 A^-1 - I, so a step is one sparse LU solve and an
+axpy, with no B.
 
 Recorded per step:
 
@@ -15,8 +17,11 @@ Recorded per step:
     defect(x,t) = d_t P + d_x J                          (continuity residual)
 
 with d_x by centered differences and d_t by centered differences across
-steps (one-sided at the trace ends).  The defect headline is the max over
-interior points, three nodes away from the Dirichlet walls.
+steps (one-sided at the trace ends).  The accuracy-2 D1 is exactly odd under
+parity, D1 conj(v(-x)) = -conj((D1 v)(-x)) bit for bit, so d_x phi is read
+off D1 psi2 and one D1 product on the stepped fields serves both.  The
+defect headline is the max over interior points, three nodes away from the
+Dirichlet walls.
 """
 
 from __future__ import annotations
@@ -134,8 +139,9 @@ def run(
     """Propagate both fields to time T and record Q(t) and the continuity defect.
 
     psi1 and psi2 step forward as the two columns of one array with a single
-    Crank-Nicolson factorization; T/dt must be a whole number of steps.  A
-    non-finite state aborts with the last valid step index.
+    Crank-Nicolson factorization, or as one column when psi2_0 and psi1_0
+    are equal bit for bit (0.0 and -0.0 differ); T/dt must be a whole number
+    of steps.  A non-finite state aborts with the last valid step index.
     """
     if not (T > 0 and dt > 0):
         raise ParameterError(f"require T > 0 and dt > 0, got T={T}, dt={dt}")
@@ -145,14 +151,24 @@ def run(
     w = np.asarray(eta_weight, dtype=float)
     if w.shape != (grid.N,) or H.shape != (grid.N, grid.N):
         raise DimensionError("weight/H shapes do not match the grid")
+    psi1_0 = np.asarray(psi1_0, dtype=complex)
+    psi2_0 = np.asarray(psi2_0, dtype=complex)
+    if psi1_0.shape != (grid.N,) or psi2_0.shape != (grid.N,):
+        raise DimensionError(f"initial state shapes {psi1_0.shape}, {psi2_0.shape} "
+                             f"do not match the grid N={grid.N}")
     if not (np.all(np.isfinite(psi1_0)) and np.all(np.isfinite(psi2_0))):
         raise ParameterError("initial states must be finite")
 
     steps = round(ratio)
     times = np.arange(steps + 1) * dt
     prop = _CrankNicolson(H, dt)
+    # accuracy 2 only: its rows hold at most two terms, so D1 is odd under
+    # parity bit for bit; accuracy-4 rows hold up to four and the identity
+    # behind d_x phi below would then hold only to rounding
     D1 = diff_matrix(grid, 1, 2)
-    psi = np.column_stack([psi1_0, psi2_0]).astype(complex)
+    # equal fields stay equal, so step one column; psi2 is always psi[:, -1]
+    same = psi1_0.tobytes() == psi2_0.tobytes()
+    psi = np.column_stack([psi1_0] if same else [psi1_0, psi2_0])
 
     sl = slice(_EDGE_MARGIN, grid.N - _EDGE_MARGIN)
     Q = np.empty(steps + 1, dtype=complex)
@@ -160,15 +176,12 @@ def run(
     window: list[tuple[np.ndarray, np.ndarray]] = []  # rolling interior (P, div J)
     first_fields: list[tuple[np.ndarray, np.ndarray]] = []  # interior (P, div J) at k=0,1
     w_over_i = w / 1j
-    fields = np.empty((grid.N, 2), dtype=complex)  # [psi1, phi]: one D1 product for both
-    psi1, phi = fields[:, 0], fields[:, 1]
 
     def record(k: int):
-        psi1[:] = psi[:, 0]
-        np.conj(psi[::-1, 1], out=phi)
+        psi1, phi = psi[:, 0], np.conj(psi[::-1, -1])
         P = w * phi * psi1
-        d = D1 @ fields
-        J = w_over_i * (phi * d[:, 0] - psi1 * d[:, 1])
+        d = D1 @ psi  # d_x phi = -conj(d[::-1, -1])
+        J = w_over_i * (phi * d[:, 0] + psi1 * np.conj(d[::-1, -1]))
         Q[k] = grid.h * P.sum()
         window.append((P[sl], (D1 @ J)[sl]))
         if k <= 1:
@@ -196,5 +209,5 @@ def run(
         times=times,
         Q=Q,
         continuity_residual=defect_max,
-        final_states=(psi[:, 0].copy(), psi[:, 1].copy()),
+        final_states=(psi[:, 0].copy(), psi[:, -1].copy()),
     )

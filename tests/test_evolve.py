@@ -167,6 +167,118 @@ def test_run_matches_the_b_form_reference(case):
     np.testing.assert_allclose(tr.continuity_residual, defect, rtol=0, atol=1e-11 * defect.max())
 
 
+def _two_column_run(H, grid, w, psi1_0, psi2_0, T, dt):
+    """The record of evolve.run with psi1 and psi2 always stepped as two
+    columns and one D1 product on the [psi1, phi] stack: Q, the per-step
+    defect and both final states."""
+    steps = round(T / dt)
+    prop = evolve._CrankNicolson(H, dt)
+    D1 = q.diff_matrix(grid, 1, 2)
+    psi = np.column_stack([psi1_0, psi2_0]).astype(complex)
+    sl = slice(3, grid.N - 3)
+    Q = np.empty(steps + 1, dtype=complex)
+    defect_max = np.zeros(steps + 1)
+    window, first_fields = [], []
+    w_over_i = w / 1j
+    fields = np.empty((grid.N, 2), dtype=complex)
+    psi1, phi = fields[:, 0], fields[:, 1]
+
+    def record(k):
+        psi1[:] = psi[:, 0]
+        np.conj(psi[::-1, 1], out=phi)
+        P = w * phi * psi1
+        d = D1 @ fields
+        J = w_over_i * (phi * d[:, 0] - psi1 * d[:, 1])
+        Q[k] = grid.h * P.sum()
+        window.append((P[sl], (D1 @ J)[sl]))
+        if k <= 1:
+            first_fields.append(window[-1])
+        if len(window) == 3:
+            dPdt = (window[2][0] - window[0][0]) / (2.0 * dt)
+            defect_max[k - 1] = np.max(np.abs(dPdt + window[1][1]))
+            window.pop(0)
+
+    record(0)
+    for k in range(1, steps + 1):
+        psi = prop.step(psi)
+        record(k)
+    dP0 = (first_fields[1][0] - first_fields[0][0]) / dt
+    defect_max[0] = np.max(np.abs(dP0 + first_fields[0][1]))
+    dPT = (window[-1][0] - window[-2][0]) / dt
+    defect_max[steps] = np.max(np.abs(dPT + window[-1][1]))
+    return Q, defect_max, psi[:, 0], psi[:, 1]
+
+
+def _identity_case(case):
+    """(H, grid, weight, psi1_0, psi2_0, T) for the bit-identity test."""
+    gauge = q.GaugeSpec(shared.GAUGE_BETA, expr.parse("tanh(x)"))
+    if case == "distinct-levels":  # the fields of test_orthogonality_decay_between_distinct_levels
+        N = 1600
+        g = shared.grid(N)
+        H = shared.hamiltonian("special-b1", 2.0, 0.0, N, beta=shared.GAUGE_BETA, accuracy=4)
+        w = shared.exact_gauge_weight(N)
+        u0, u1 = shared.bound_vectors("special-b1", 2.0, 0.0, N, (-4.0, -1.0),
+                                      beta=shared.GAUGE_BETA, accuracy=4)
+        return H, g, w, inner.pseudo_normalize(g, w, u0)[0], inner.pseudo_normalize(g, w, u1)[0], 0.2
+    if case == "non-pt-odd-N":
+        g = q.make_grid(12.0, 301)
+        H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")))
+        w = np.ones(g.N)
+    else:
+        g = q.make_grid(12.0, 400)
+        accuracy = 4 if case == "gauged-accuracy-4" else 2
+        H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), gauge, accuracy)
+        w = operators.gauge_weight(g, gauge.beta, gauge.nu)
+    psi1 = evolve.gaussian_state(g, 0.7, 0.8, 1.0)
+    psi2 = evolve.gaussian_state(g, -1.1, 1.3, -0.6) if case == "distinct-packets" else psi1
+    return H, g, w, psi1, psi2, 1.0
+
+
+@pytest.mark.parametrize(
+    "case", ["equal-fields", "distinct-packets", "distinct-levels", "gauged-accuracy-4",
+             "non-pt-odd-N"])
+def test_run_is_bit_identical_to_the_two_column_record(case):
+    H, g, w, psi1, psi2, T = _identity_case(case)
+    tr = evolve.run(H, g, w, psi1, psi2, T, 1e-3)
+    Q, defect, final1, final2 = _two_column_run(H, g, w, psi1, psi2, T, 1e-3)
+    assert np.array_equal(tr.Q, Q)
+    assert np.array_equal(tr.continuity_residual, defect)
+    assert np.array_equal(tr.final_states[0], final1)
+    assert np.array_equal(tr.final_states[1], final2)
+
+
+def test_equal_fields_step_one_column(monkeypatch):
+    g = q.make_grid(6.0, 60)
+    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
+    psi = evolve.gaussian_state(g, 0.0, 0.8)
+    psi[0] = 0.0
+    signed = psi.copy()
+    signed[0] = complex(-0.0, 0.0)  # equal in value, not in bits
+    widths = []
+    step = evolve._CrankNicolson.step
+
+    def spy(self, stack):
+        widths.append(stack.shape[1])
+        return step(self, stack)
+
+    monkeypatch.setattr(evolve._CrankNicolson, "step", spy)
+    for psi2, width in ((psi.copy(), 1), (evolve.gaussian_state(g, 1.0, 0.8), 2), (signed, 2)):
+        widths.clear()
+        tr = evolve.run(H, g, np.ones(g.N), psi, psi2, 0.05, 1e-2)
+        assert widths == [width] * 5
+        assert tr.final_states[0] is not tr.final_states[1]
+
+
+def test_run_rejects_initial_states_off_the_grid():
+    g = q.make_grid(4.0, 50)
+    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))
+    psi = evolve.gaussian_state(g, 0.0, 0.5)
+    short = psi[:49]
+    for psi1, psi2 in ((short, psi), (psi, short), (psi, np.column_stack([psi, psi]))):
+        with pytest.raises(DimensionError):
+            evolve.run(H, g, np.ones(g.N), psi1, psi2, 0.1, 1e-2)
+
+
 def test_hermitian_run_conserves_q():
     g = shared.grid(800)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
@@ -188,7 +300,7 @@ def test_trace_bookkeeping():
     np.testing.assert_allclose(np.diff(tr.times), 1e-2)
     assert tr.final_states[0].shape == (g.N,)
     # identical initial fields + real symmetric H keep the two fields equal
-    np.testing.assert_allclose(tr.final_states[0], tr.final_states[1], atol=1e-12)
+    assert np.array_equal(tr.final_states[0], tr.final_states[1])
 
 
 def test_stationary_state_q_constant_under_pt_weight():

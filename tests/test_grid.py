@@ -160,3 +160,23 @@ def test_banded_build_matches_row_by_row_reference(N, L, order, accuracy):
     on_diagonal = sorted(coo.row[coo.row == coo.col])
     assert on_diagonal == ([0, N - 1] if accuracy == 4 else [])
     assert dense[0, 0] == -dense[-1, -1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.integers(3, 200),
+    L=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+    seed=st.integers(0, 2**32 - 1),
+    columns=st.sampled_from([None, 2]),
+)
+def test_first_derivative_is_odd_under_parity_bit_for_bit(N, L, seed, columns):
+    # evolve.run reads d_x phi, phi = conj(v(-x)), off D1 v through this
+    # identity; it holds exactly because P D1 P = -D1 and every accuracy-2
+    # row holds at most two terms, whose sum does not depend on their order
+    rng = np.random.default_rng(seed)
+    shape = (N,) if columns is None else (N, columns)
+    scale = 10.0 ** rng.uniform(-150, 150, size=shape)
+    v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+    v[rng.random(size=shape) < 0.1] = 0.0
+    D1 = diff_matrix(make_grid(L, N), 1, 2)
+    assert np.array_equal(D1 @ np.conj(v[::-1]), -np.conj((D1 @ v)[::-1]))
