@@ -7,8 +7,9 @@ adjoints.  Spectra come from one dense `scipy.linalg.eig` call, on a real
 fold of PT-symmetric H (on the complex H otherwise), or from certified
 sparse shift-invert for the Re < 0 levels, and are classified into real
 levels and conjugate pairs against analytic levels.  Crank-Nicolson
-evolution verifies the generalized continuity/conservation law and
-eta-orthogonality.
+evolution checks the generalized conservation law and eta-orthogonality,
+and records the per-step flux form of the continuity law, which the
+implicit midpoint rule keeps to rounding when the weight symmetrizes H.
 """
 
 from .errors import (
@@ -48,7 +49,7 @@ from .operators import (
 )
 from .eigen import SpectrumReport, classify_spectrum, converged_bound_states, eig
 from .inner import gram, operator_inner, parity_flip, pseudo_normalize, weighted_inner
-from .evolve import EvolutionTrace, continuity_fields, gaussian_state, run, step_cn
+from .evolve import EvolutionTrace, gaussian_state, run
 from .models import (
     LevelSet,
     first_order_levels,

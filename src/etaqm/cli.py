@@ -399,7 +399,7 @@ def cmd_evolve(args) -> int:
         w = operators.gauge_weight(grid, gauge.beta, gauge.nu)
     else:
         w = np.ones(grid.N)
-        if gauge is not None and gauge.beta != 0.0:
+        if gauge is not None:
             flags.append("mismatched-metric")
     if not operators.is_pt_symmetric(grid, potential):
         flags.append("non-pt-potential")  # the conservation law assumes PT-symmetric V
@@ -419,7 +419,6 @@ def cmd_evolve(args) -> int:
     trace = evolve.run(H, grid, w, psi0, psi0, args.T, args.dt)
     Q0 = trace.Q[0]
     drift = np.max(np.abs(trace.Q - Q0)) / abs(Q0)
-    interior = trace.continuity_residual[1:-1] if len(trace.times) > 2 else trace.continuity_residual
     out = {
         "config": {
             "L": args.L, "N": args.N, "T": args.T, "dt": args.dt,
@@ -428,7 +427,7 @@ def cmd_evolve(args) -> int:
         },
         "Q0": complex(Q0),
         "max_drift": float(drift),
-        "max_continuity_defect": float(np.max(interior)),
+        "max_continuity_defect": float(np.max(trace.continuity_residual)),
         "flags": flags,
     }
     if diagnostics is not None:

@@ -9,19 +9,24 @@ psi' = A^-1 B psi with A = I + (i dt/2) H and B = I - (i dt/2) H; since
 A + B = 2I, A^-1 B = 2 A^-1 - I, so a step is one sparse LU solve and an
 axpy, with no B.
 
-Recorded per step:
+Recorded per step n -> n+1:
 
-    Q(t)        = h sum w(x) phi(x,t) psi1(x,t)          (conserved quantity)
-    P(x,t)      = w phi psi1                             (density)
-    J(x,t)      = (w / i) [phi d_x psi1 - psi1 d_x phi]  (current)
-    defect(x,t) = d_t P + d_x J                          (continuity residual)
+    Q      = h sum_j w_j phi_j psi1_j                   (conserved quantity)
+    P_j    = w_j phi_j psi1_j                           (density)
+    F(j,k) = i s_jk (mpsi_j mphi_k - mphi_j mpsi_k)     (flux over bond j-k)
+    defect = max_j |(P_j^{n+1} - P_j^n)/dt - sum_k F(j,k)|
 
-with d_x by centered differences and d_t by centered differences across
-steps (one-sided at the trace ends).  The accuracy-2 D1 is exactly odd under
-parity, D1 conj(v(-x)) = -conj((D1 v)(-x)) bit for bit, so d_x phi is read
-off D1 psi2 and one D1 product on the stepped fields serves both.  The
-defect headline is the max over interior points, three nodes away from the
-Dirichlet walls.
+with mpsi, mphi the step midpoints (psi1^n + psi1^{n+1})/2 and
+(phi^n + phi^{n+1})/2, and s_jk = (w_j H_jk + w_k H_kj)/2 the symmetric
+weight of the bond between nodes j != k that H couples.  Crank-Nicolson is
+the implicit midpoint rule, so for PT-symmetric H this law is exact per
+step: the defect is i [(A mphi) mpsi - mphi (A mpsi)], where A is the
+antisymmetric part of W H (the diagonal cancels), and for non-PT H also
+the mismatch between P conj(H) P and H.  It reads rounding exactly when w
+makes W H symmetric, the paper's condition, at accuracy 2 and 4 alike.
+F(j,k) = -F(k,j), so the fluxes cancel in the sum over nodes and Q is
+conserved exactly when the law holds; no flux crosses a wall, so every node
+counts.  Row 0 of the trace is 0: no step has been taken yet.
 """
 
 from __future__ import annotations
@@ -31,19 +36,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NanAbortError, ParameterError, SingularSystemError
-from .grid import Grid, diff_matrix
+from .grid import Grid
 from .operators import _is_integer
 
-__all__ = ["EvolutionTrace", "step_cn", "run", "continuity_fields", "gaussian_state"]
-
-_EDGE_MARGIN = 3  # nodes excluded at each wall when maximizing the defect
+__all__ = ["EvolutionTrace", "run", "gaussian_state"]
 
 
 @dataclass(frozen=True)
 class EvolutionTrace:
     times: np.ndarray
     Q: np.ndarray                    # complex conserved-quantity samples
-    continuity_residual: np.ndarray  # per-step max-norm of the defect
+    continuity_residual: np.ndarray  # per-step max defect of the flux law; 0 at t = 0
     final_states: tuple[np.ndarray, np.ndarray]  # (psi1, psi2) at T
 
 
@@ -82,49 +85,15 @@ class _CrankNicolson:
         return out
 
 
-def step_cn(H, psi: np.ndarray, dt: float) -> np.ndarray:
-    """One Crank-Nicolson step: (I + i dt/2 H) psi' = (I - i dt/2 H) psi.
+def _bonds(H, w: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(o, s) for each offset o > 0 that H couples: s_j, the symmetric
+    weight (w_j H_{j,j+o} + w_{j+o} H_{j+o,j})/2 of the bond (j, j+o)."""
+    import scipy.sparse as sp
 
-    dt may be negative.  An exactly singular implicit system, or a solve that
-    yields non-finite values, raises SingularSystemError.
-    """
-    if dt == 0 or not np.isfinite(dt):
-        raise ParameterError(f"time step must be finite and nonzero, got {dt}")
-    if H.shape[0] != H.shape[1] or H.shape[0] != len(psi):
-        raise DimensionError(f"shape mismatch: H {H.shape}, psi {len(psi)}")
-    out = _CrankNicolson(H, dt).step(np.asarray(psi, dtype=complex))
-    if not np.all(np.isfinite(out)):
-        raise SingularSystemError("implicit Crank-Nicolson solve produced non-finite values")
-    return out
-
-
-# -- continuity fields -------------------------------------------------------
-
-def continuity_fields(
-    grid: Grid,
-    eta_weight: np.ndarray,
-    psi1: np.ndarray,
-    psi2: np.ndarray,
-    dpsi1_dt: np.ndarray,
-    dpsi2_dt: np.ndarray,
-):
-    """Instantaneous density P, current J, and continuity defect d_t P + d_x J.
-
-    Time derivatives are supplied by the caller (for eigen-dynamics they are
-    -i H psi); the psi2 field enters through phi = conj(psi2(-x)) and
-    d_t phi = conj(dpsi2_dt(-x)).
-    """
-    w = np.asarray(eta_weight)
-    for arr in (w, psi1, psi2, dpsi1_dt, dpsi2_dt):
-        if np.shape(arr) != (grid.N,):
-            raise DimensionError(f"field length {np.shape(arr)} != grid N={grid.N}")
-    D1 = diff_matrix(grid, 1, 2)
-    phi = np.conj(psi2[::-1])
-    dphi = np.conj(dpsi2_dt[::-1])
-    P = w * phi * psi1
-    J = (w / 1j) * (phi * (D1 @ psi1) - psi1 * (D1 @ phi))
-    defect = w * (dphi * psi1 + phi * dpsi1_dt) + D1 @ J
-    return P, J, defect
+    Hs = sp.coo_matrix(H)
+    offsets = np.unique(np.abs(Hs.col - Hs.row))
+    return [(o, 0.5 * (w[:-o] * Hs.diagonal(o) + w[o:] * Hs.diagonal(-o)))
+            for o in map(int, offsets[offsets > 0])]
 
 
 def run(
@@ -141,7 +110,10 @@ def run(
     psi1 and psi2 step forward as the two columns of one array with a single
     Crank-Nicolson factorization, or as one column when psi2_0 and psi1_0
     are equal bit for bit (0.0 and -0.0 differ); T/dt must be a whole number
-    of steps.  A non-finite state aborts with the last valid step index.
+    of steps.  Row k >= 1 of the defect is the max over every node of
+    |dP/dt - sum of bond fluxes| across step k (see the module docstring);
+    it is rounding when the weight makes W H symmetric and H is
+    PT-symmetric.  A non-finite state aborts with the last valid step index.
     """
     if not (T > 0 and dt > 0):
         raise ParameterError(f"require T > 0 and dt > 0, got T={T}, dt={dt}")
@@ -162,48 +134,39 @@ def run(
     steps = round(ratio)
     times = np.arange(steps + 1) * dt
     prop = _CrankNicolson(H, dt)
-    # accuracy 2 only: its rows hold at most two terms, so D1 is odd under
-    # parity bit for bit; accuracy-4 rows hold up to four and the identity
-    # behind d_x phi below would then hold only to rounding
-    D1 = diff_matrix(grid, 1, 2)
+    # the midpoints enter doubled and dP/dt as P - P_old, so each bond
+    # carries i dt/4 and the max is divided by dt once
+    bonds = [(o, 0.25j * dt * s) for o, s in _bonds(H, w)]
     # equal fields stay equal, so step one column; psi2 is always psi[:, -1]
     same = psi1_0.tobytes() == psi2_0.tobytes()
     psi = np.column_stack([psi1_0] if same else [psi1_0, psi2_0])
 
-    sl = slice(_EDGE_MARGIN, grid.N - _EDGE_MARGIN)
     Q = np.empty(steps + 1, dtype=complex)
     defect_max = np.zeros(steps + 1)
-    window: list[tuple[np.ndarray, np.ndarray]] = []  # rolling interior (P, div J)
-    first_fields: list[tuple[np.ndarray, np.ndarray]] = []  # interior (P, div J) at k=0,1
-    w_over_i = w / 1j
 
-    def record(k: int):
-        psi1, phi = psi[:, 0], np.conj(psi[::-1, -1])
-        P = w * phi * psi1
-        d = D1 @ psi  # d_x phi = -conj(d[::-1, -1])
-        J = w_over_i * (phi * d[:, 0] + psi1 * np.conj(d[::-1, -1]))
+    def density(k: int) -> np.ndarray:
+        P = w * np.conj(psi[::-1, -1]) * psi[:, 0]
         Q[k] = grid.h * P.sum()
-        window.append((P[sl], (D1 @ J)[sl]))
-        if k <= 1:
-            first_fields.append(window[-1])
-        if len(window) == 3:  # centered d_t at step k-1
-            dPdt = (window[2][0] - window[0][0]) / (2.0 * dt)
-            defect_max[k - 1] = np.max(np.abs(dPdt + window[1][1]))
-            window.pop(0)
+        return P
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow aborts below
-        record(0)
+        P_old = density(0)
         for k in range(1, steps + 1):
-            psi = prop.step(psi)
-            record(k)
+            old, psi = psi, prop.step(psi)
+            P = density(k)
+            mid = old + psi
+            mpsi, mphi = mid[:, 0], np.conj(mid[::-1, -1])
+            r = P - P_old
+            for o, c in bonds:
+                F = mpsi[:-o] * mphi[o:]
+                F -= mphi[:-o] * mpsi[o:]
+                F *= c
+                r[:-o] -= F
+                r[o:] += F
+            defect_max[k] = np.max(np.abs(r)) / dt
+            P_old = P
             if not (np.all(np.isfinite(psi)) and np.isfinite(Q[k])):
                 raise NanAbortError(last_valid_step=k - 1)
-
-    # one-sided d_t at the trace ends (first-order; excluded from headlines)
-    dP0 = (first_fields[1][0] - first_fields[0][0]) / dt
-    defect_max[0] = np.max(np.abs(dP0 + first_fields[0][1]))
-    dPT = (window[-1][0] - window[-2][0]) / dt
-    defect_max[steps] = np.max(np.abs(dPT + window[-1][1]))
 
     return EvolutionTrace(
         times=times,

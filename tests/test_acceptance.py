@@ -163,12 +163,20 @@ def test_criterion_7_conservation_law():
     tr_bad = evolve.run(Hb, g, ones, psi_1, psi_1, 5.0, 1e-3)
     drift_bad = float(np.max(np.abs(tr_bad.Q - tr_bad.Q[0])) / abs(tr_bad.Q[0]))
 
+    # the per-step flux law: rounding for the Hermitian well, order one for
+    # the unit weight, whose W H is not symmetric
+    defect_ground, defect_mix, defect_h, defect_bad = (
+        float(tr.continuity_residual.max()) for tr in (tr_ground, tr_mix, tr_h, tr_bad))
+
     ok = (drift_ground <= 1e-5 and drift_mix <= 1e-5
-          and drift_h <= 1e-8 and drift_bad >= 1e-2)
+          and drift_h <= 1e-8 and drift_bad >= 1e-2
+          and defect_h <= 1e-10 and defect_bad >= 1e-2)
     _report("conservation-law", ok,
-            f"gauge weight: ground {drift_ground:.2e}, packet {drift_mix:.2e} (tol 1e-5); "
-            f"hermitian baseline {drift_h:.2e} (tol 1e-8); "
-            f"mismatched unit weight {drift_bad:.2e} (must exceed 1e-2)")
+            f"gauge weight: ground {drift_ground:.2e}, packet {drift_mix:.2e} (tol 1e-5), "
+            f"defect {defect_ground:.2e} and {defect_mix:.2e} (reported); "
+            f"hermitian baseline {drift_h:.2e} (tol 1e-8), defect {defect_h:.2e} (tol 1e-10); "
+            f"mismatched unit weight {drift_bad:.2e} (must exceed 1e-2), "
+            f"defect {defect_bad:.2e} (must exceed 1e-2)")
 
 
 def test_criterion_8_eta_orthogonality_contrast():

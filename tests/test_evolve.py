@@ -17,7 +17,7 @@ def test_hermitian_step_preserves_norm():
     g = q.make_grid(8.0, 200)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
     psi = evolve.gaussian_state(g, 0.5, 0.8, 1.0)
-    out = evolve.step_cn(H, psi, 1e-3)
+    out = evolve._CrankNicolson(H, 1e-3).step(psi)
     assert abs(np.linalg.norm(out) - np.linalg.norm(psi)) <= 1e-12 * np.linalg.norm(psi)
 
 
@@ -26,7 +26,7 @@ def test_diagonal_hamiltonian_gives_cayley_phase():
     dt = 1e-2
     H = np.diag([E, -1.0]).astype(complex)
     psi = np.array([1.0, 0.0], dtype=complex)
-    out = evolve.step_cn(H, psi, dt)
+    out = evolve._CrankNicolson(H, dt).step(psi)
     expected = (1 - 1j * dt * E / 2) / (1 + 1j * dt * E / 2)
     assert out[0] == pytest.approx(expected, rel=1e-14)
     assert out[1] == 0
@@ -60,7 +60,7 @@ def test_cayley_step_matches_the_b_form_solve(N, bandwidth, seed, log_scale, log
     zH = 0.5j * dt * H.toarray()
     eye = np.eye(N)
     kappa = np.linalg.cond(eye + zH)
-    out = evolve.step_cn(H, psi, dt)
+    out = evolve._CrankNicolson(H, dt).step(psi)
     ref = scipy.linalg.solve(eye + zH, (eye - zH) @ psi)
     assert out.shape == psi.shape
     bound = _CAYLEY_TOL * kappa * (1 + np.linalg.norm(zH, 2)) * np.max(np.abs(psi))
@@ -72,9 +72,10 @@ def test_phase_error_is_second_order_in_dt():
     H = np.diag([E]).astype(complex)
     errs = []
     for dt in (1e-2, 5e-3):
+        prop = evolve._CrankNicolson(H, dt)
         psi = np.array([1.0 + 0j])
         for _ in range(int(round(1.0 / dt))):
-            psi = evolve.step_cn(H, psi, dt)
+            psi = prop.step(psi)
         errs.append(abs(np.angle(psi[0]) + E * 1.0))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -82,27 +83,21 @@ def test_phase_error_is_second_order_in_dt():
 def test_singular_implicit_system_detected():
     dt = 1e-2
     H = (2j / dt) * np.eye(3)  # makes I + i dt/2 H exactly zero
+    psi = np.ones(3, dtype=complex)
     with pytest.raises(SingularSystemError):
-        evolve.step_cn(H, np.ones(3, dtype=complex), dt)
-
-
-def test_step_rejects_bad_arguments():
-    H = np.eye(4, dtype=complex)
-    with pytest.raises(ParameterError):
-        evolve.step_cn(H, np.ones(4, dtype=complex), 0.0)
-    with pytest.raises(DimensionError):
-        evolve.step_cn(H, np.ones(5, dtype=complex), 1e-3)
+        evolve.run(H, q.make_grid(1.0, 3), np.ones(3), psi, psi, dt, dt)
 
 
 def test_phi_reduction_matches_forward_field():
     # stepping phi = conj(psi2(-x)) at -dt equals flipping the forward psi2
     g = q.make_grid(12.0, 300)
     Hb = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), q.GaugeSpec(0.5, expr.parse("tanh(x)")))
+    forward, backward = evolve._CrankNicolson(Hb, 1e-3), evolve._CrankNicolson(Hb, -1e-3)
     psi2 = evolve.gaussian_state(g, 1.0, 1.2, 0.5)
     phi = np.conj(psi2[::-1])
     for _ in range(40):
-        psi2 = evolve.step_cn(Hb, psi2, 1e-3)
-        phi = evolve.step_cn(Hb, phi, -1e-3)
+        psi2 = forward.step(psi2)
+        phi = backward.step(phi)
     agree = np.linalg.norm(phi - np.conj(psi2[::-1])) / np.linalg.norm(phi)
     assert agree <= 1e-12
 
@@ -115,9 +110,10 @@ def test_run_propagates_psi2_forward_for_non_pt_hamiltonian():
     w = np.ones(g.N)
     psi, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.0, 1.0))
     tr = evolve.run(H, g, w, psi, psi, 1.0, 1e-3)
+    prop = evolve._CrankNicolson(H, 1e-3)
     psi2 = psi
     for _ in range(1000):
-        psi2 = evolve.step_cn(H, psi2, 1e-3)
+        psi2 = prop.step(psi2)
     Q_direct = g.h * np.sum(w * np.conj(psi2[::-1]) * psi2)
     assert tr.Q[-1] == pytest.approx(Q_direct, rel=1e-10)
     np.testing.assert_allclose(tr.final_states[1], psi2, rtol=0, atol=1e-10 * np.abs(psi2).max())
@@ -125,33 +121,40 @@ def test_run_propagates_psi2_forward_for_non_pt_hamiltonian():
 
 def _reference_run(H, grid, w, psi1, psi2, T, dt):
     """Q and the per-step defect from B-form steps, A psi' = B psi, and the
-    unfused record: each field differentiated on its own, the whole defect
-    field formed before the interior is taken."""
+    flux law in dense form: dP/dt - i [(S mphi) mpsi - mphi (S mpsi)] with
+    S = (W H + (W H)^T)/2 and mpsi, mphi the step midpoints."""
     Hd = H.toarray()
     eye = np.eye(grid.N)
     lu = scipy.linalg.lu_factor(eye + 0.5j * dt * Hd)
     B = eye - 0.5j * dt * Hd
-    D1 = q.diff_matrix(grid, 1, 2)
-    Ps, divJs = [], []
-    for k in range(round(T / dt) + 1):
-        if k:
-            psi1 = scipy.linalg.lu_solve(lu, B @ psi1)
-            psi2 = scipy.linalg.lu_solve(lu, B @ psi2)
+    WH = w[:, None] * Hd
+    S = 0.5 * (WH + WH.T)
+    steps = round(T / dt)
+    Q, defect = np.empty(steps + 1, dtype=complex), np.zeros(steps + 1)
+    for k in range(steps + 1):
         phi = np.conj(psi2[::-1])
         P = w * phi * psi1
-        J = (w / 1j) * (phi * (D1 @ psi1) - psi1 * (D1 @ phi))
-        Ps.append(P)
-        divJs.append(D1 @ J)
-    P = np.array(Ps)
-    # centred d_t inside the trace, one-sided at its ends
-    defect = np.gradient(P, dt, axis=0) + np.array(divJs)
-    return grid.h * P.sum(axis=1), np.abs(defect)[:, 3:-3].max(axis=1)
+        Q[k] = grid.h * P.sum()
+        if k:
+            mpsi, mphi = 0.5 * (old1 + psi1), 0.5 * (old_phi + phi)
+            law = (P - old_P) / dt - 1j * ((S @ mphi) * mpsi - mphi * (S @ mpsi))
+            defect[k] = np.abs(law).max()
+        old1, old_phi, old_P = psi1, phi, P
+        if k < steps:
+            psi1 = scipy.linalg.lu_solve(lu, B @ psi1)
+            psi2 = scipy.linalg.lu_solve(lu, B @ psi2)
+    return Q, defect
+
+
+# Measured on this grid over eight packets (the one below and seven drawn
+# with x0 in [-2, 2], sigma in [0.5, 1.5], k in [-2, 2]): Q within 1.4e-12 of
+# the reference, every defect within 2.7e-10 (gauged) and 9.2e-14 (non-PT)
+# of the largest; the bounds leave a 10x margin.
+_REFERENCE_DEFECT_TOL = {"gauged-accuracy-4": 3e-9, "non-pt": 1e-12}
 
 
 @pytest.mark.parametrize("case", ["gauged-accuracy-4", "non-pt"])
 def test_run_matches_the_b_form_reference(case):
-    # Measured on this grid over eight packets: Q within 1.8e-13 of the
-    # reference, every defect within 1.4e-12 of the largest.
     g = q.make_grid(8.0, 128)
     if case == "gauged-accuracy-4":
         gauge = q.GaugeSpec(shared.GAUGE_BETA, expr.parse("tanh(x)"))
@@ -163,49 +166,84 @@ def test_run_matches_the_b_form_reference(case):
     psi, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.7, 0.8, 1.0))
     tr = evolve.run(H, g, w, psi, psi, 2.0, 1e-2)
     Q, defect = _reference_run(H, g, w, psi, psi, 2.0, 1e-2)
+    assert tr.continuity_residual[0] == defect[0] == 0
     np.testing.assert_allclose(tr.Q, Q, rtol=0, atol=1e-11 * np.max(np.abs(Q)))
-    np.testing.assert_allclose(tr.continuity_residual, defect, rtol=0, atol=1e-11 * defect.max())
+    np.testing.assert_allclose(tr.continuity_residual, defect, rtol=0,
+                               atol=_REFERENCE_DEFECT_TOL[case] * defect.max())
+
+
+# Over 20,000 random draws of the test below, the largest defect was
+# 7.3 eps max(w) M^2 (1 + ||dt H / 2||_2) / dt, with M the largest field
+# entry along the trace; the bound leaves a 10x margin.
+_FLUX_TOL = 80 * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(3, 64),
+    width=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-2.0, 4.0),
+    log_dt=st.floats(-4.0, 0.0),
+    log_w=st.floats(0.0, 3.0),
+    same=st.booleans(),
+)
+def test_flux_law_is_exact_when_the_weight_symmetrizes_h(N, width, seed, log_scale, log_dt,
+                                                         log_w, same):
+    # H = W^-1 S with S complex symmetric and PT-symmetric: real bands that
+    # are mirror images of themselves and a diagonal with d(-x) = conj d(x)
+    rng = np.random.default_rng(seed)
+    offsets = [o for o in range(1, width + 1) if o < N]
+    bands = [rng.normal(size=N - o) * 10.0**log_scale for o in offsets]
+    bands = [0.5 * (b + b[::-1]) for b in bands]
+    d = (rng.normal(size=N) + 1j * rng.normal(size=N)) * 10.0**log_scale
+    d = 0.5 * (d + np.conj(d[::-1]))
+    lw = rng.uniform(-log_w, log_w, size=N)
+    w = np.exp(0.5 * (lw + lw[::-1]))
+    H = sp.diags([d, *(b / w[:-o] for o, b in zip(offsets, bands)),
+                  *(b / w[o:] for o, b in zip(offsets, bands))],
+                 [0, *offsets, *(-o for o in offsets)], format="csr")
+    psi1 = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi2 = psi1.copy() if same else rng.normal(size=N) + 1j * rng.normal(size=N)
+    dt, steps = 10.0**log_dt, 3
+    tr = evolve.run(H, q.make_grid(1.0, N), w, psi1, psi2, steps * dt, dt)
+    prop = evolve._CrankNicolson(H, dt)
+    psi = np.column_stack([psi1, psi2])
+    M = np.abs(psi).max()
+    for _ in range(steps):
+        psi = prop.step(psi)
+        M = max(M, np.abs(psi).max())
+    zH = np.linalg.norm(0.5 * dt * H.toarray(), 2)
+    assert tr.continuity_residual[0] == 0
+    assert tr.continuity_residual.max() <= _FLUX_TOL * w.max() * M**2 * (1 + zH) / dt
 
 
 def _two_column_run(H, grid, w, psi1_0, psi2_0, T, dt):
     """The record of evolve.run with psi1 and psi2 always stepped as two
-    columns and one D1 product on the [psi1, phi] stack: Q, the per-step
-    defect and both final states."""
+    columns: Q, the per-step defect and both final states."""
     steps = round(T / dt)
     prop = evolve._CrankNicolson(H, dt)
-    D1 = q.diff_matrix(grid, 1, 2)
+    bonds = [(o, 0.25j * dt * s) for o, s in evolve._bonds(H, w)]
     psi = np.column_stack([psi1_0, psi2_0]).astype(complex)
-    sl = slice(3, grid.N - 3)
     Q = np.empty(steps + 1, dtype=complex)
     defect_max = np.zeros(steps + 1)
-    window, first_fields = [], []
-    w_over_i = w / 1j
-    fields = np.empty((grid.N, 2), dtype=complex)
-    psi1, phi = fields[:, 0], fields[:, 1]
-
-    def record(k):
-        psi1[:] = psi[:, 0]
-        np.conj(psi[::-1, 1], out=phi)
-        P = w * phi * psi1
-        d = D1 @ fields
-        J = w_over_i * (phi * d[:, 0] - psi1 * d[:, 1])
-        Q[k] = grid.h * P.sum()
-        window.append((P[sl], (D1 @ J)[sl]))
-        if k <= 1:
-            first_fields.append(window[-1])
-        if len(window) == 3:
-            dPdt = (window[2][0] - window[0][0]) / (2.0 * dt)
-            defect_max[k - 1] = np.max(np.abs(dPdt + window[1][1]))
-            window.pop(0)
-
-    record(0)
+    P_old = w * np.conj(psi[::-1, 1]) * psi[:, 0]
+    Q[0] = grid.h * P_old.sum()
     for k in range(1, steps + 1):
-        psi = prop.step(psi)
-        record(k)
-    dP0 = (first_fields[1][0] - first_fields[0][0]) / dt
-    defect_max[0] = np.max(np.abs(dP0 + first_fields[0][1]))
-    dPT = (window[-1][0] - window[-2][0]) / dt
-    defect_max[steps] = np.max(np.abs(dPT + window[-1][1]))
+        old, psi = psi, prop.step(psi)
+        P = w * np.conj(psi[::-1, 1]) * psi[:, 0]
+        Q[k] = grid.h * P.sum()
+        mid = old + psi
+        mpsi, mphi = mid[:, 0], np.conj(mid[::-1, 1])
+        r = P - P_old
+        for o, c in bonds:
+            F = mpsi[:-o] * mphi[o:]
+            F -= mphi[:-o] * mpsi[o:]
+            F *= c
+            r[:-o] -= F
+            r[o:] += F
+        defect_max[k] = np.max(np.abs(r)) / dt
+        P_old = P
     return Q, defect_max, psi[:, 0], psi[:, 1]
 
 
@@ -363,25 +401,26 @@ def test_orthogonality_decay_between_distinct_levels():
 
 
 def test_stationary_real_state_carries_no_current():
+    # a real even eigenstate only turns its phase: P stands still and every
+    # bond flux vanishes, so Q is constant and the defect is rounding
     g = q.make_grid(10.0, 400)
-    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2"))).toarray()
-    vals, vecs = np.linalg.eigh(H.real)
-    u = vecs[:, 0].astype(complex)
-    dpsi = -1j * (H @ u)
-    P, J, defect = evolve.continuity_fields(g, np.ones(g.N), u, u, dpsi, dpsi)
-    assert np.max(np.abs(J)) <= 1e-10
-    assert np.max(np.abs(defect[3:-3])) <= 1e-8
+    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
+    _, vecs = np.linalg.eigh(H.toarray().real)
+    u = vecs[:, 0] / np.sqrt(g.h)
+    tr = evolve.run(H, g, np.ones(g.N), u, u, 0.5, 1e-3)
+    assert np.max(np.abs(tr.Q - tr.Q[0])) <= 1e-12 * abs(tr.Q[0])
+    assert tr.continuity_residual.max() <= 1e-12
 
 
-def test_free_packet_defect_shrinks_at_second_order():
-    errs = []
+def test_free_packet_obeys_the_flux_law_to_rounding():
+    # V = 0 with w = 1: the law holds exactly; the centred d_t P + D1 J it
+    # replaces read 1.3e-3 and 3.2e-4 here
     for N, dt in ((400, 2e-3), (800, 1e-3)):
         g = q.make_grid(16.0, N)
         H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))
         psi = evolve.gaussian_state(g, -4.0, 1.0, 1.0)
         tr = evolve.run(H, g, np.ones(g.N), psi, psi, 0.5, dt)
-        errs.append(tr.continuity_residual[1:-1].max())
-    assert 3.0 <= errs[0] / errs[1] <= 5.0
+        assert tr.continuity_residual.max() <= 1e-12
 
 
 def test_gauged_fixture_defect_small_for_stationary_data():

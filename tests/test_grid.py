@@ -170,9 +170,9 @@ def test_banded_build_matches_row_by_row_reference(N, L, order, accuracy):
     columns=st.sampled_from([None, 2]),
 )
 def test_first_derivative_is_odd_under_parity_bit_for_bit(N, L, seed, columns):
-    # evolve.run reads d_x phi, phi = conj(v(-x)), off D1 v through this
-    # identity; it holds exactly because P D1 P = -D1 and every accuracy-2
-    # row holds at most two terms, whose sum does not depend on their order
+    # d_x of phi = conj(v(-x)) can be read off D1 v through this identity;
+    # it holds exactly because P D1 P = -D1 and every accuracy-2 row holds
+    # at most two terms, whose sum does not depend on their order
     rng = np.random.default_rng(seed)
     shape = (N,) if columns is None else (N, columns)
     scale = 10.0 ** rng.uniform(-150, 150, size=shape)
