@@ -259,17 +259,17 @@ def cmd_verify_eta(args) -> int:
     H = operators.build_hamiltonian(grid, potential, gauge, args.accuracy)
     eta = operators.build_eta(grid, spec, args.accuracy)
     probes = operators.gaussian_probes(grid)
-    per_probe = [float(operators.intertwining_residual(eta, H, [w])) for w in probes]
+    per_probe = operators.intertwining_residual(eta, H, probes)
     herm, anti = operators.hermiticity_indicators(eta, probes)
     plus, minus = operators.eta_plus_minus(eta)
     out = {
         "config": {"L": args.L, "N": args.N, "accuracy": args.accuracy, "eta": args.eta},
-        "residual": max(per_probe),
-        "residual_per_probe": per_probe,
-        "hermitian_defect": float(herm),
-        "anti_hermitian_defect": float(anti),
-        "eta_plus_residual": float(operators.intertwining_residual(plus, H, probes)),
-        "eta_minus_residual": float(operators.intertwining_residual(minus, H, probes)),
+        "residual": float(per_probe.max()),
+        "residual_per_probe": per_probe.tolist(),
+        "hermitian_defect": herm,
+        "anti_hermitian_defect": anti,
+        "eta_plus_residual": float(operators.intertwining_residual(plus, H, probes).max()),
+        "eta_minus_residual": float(operators.intertwining_residual(minus, H, probes).max()),
     }
     if args.eta == "second-order" and args.factor_r:
         rep = operators.verify_factorization(

@@ -165,7 +165,7 @@ def run(
                 r[o:] += F
             defect_max[k] = np.max(np.abs(r)) / dt
             P_old = P
-            if not (np.all(np.isfinite(psi)) and np.isfinite(Q[k])):
+            if not np.isfinite(Q[k]):  # any non-finite psi entry makes P, so Q, non-finite
                 raise NanAbortError(last_valid_step=k - 1)
 
     return EvolutionTrace(

@@ -44,13 +44,10 @@ def make_grid(L: float, N: int) -> Grid:
         raise ParameterError(f"interior point count N must be an integer >= 3, got {N}")
     N = int(N)
     h = 2.0 * L / (N + 1)
-    x = np.empty(N, dtype=float)
     half = N // 2
-    for j in range(half):
-        x[j] = -L + (j + 1) * h
-        x[N - 1 - j] = -x[j]  # mirror for exact symmetry
-    if N % 2 == 1:
-        x[half] = 0.0
+    x = np.zeros(N)  # the middle node of an odd N stays 0
+    x[:half] = -L + np.arange(1, half + 1) * h
+    x[N - half:] = -x[half - 1::-1]  # mirror for exact symmetry
     return Grid(L=float(L), N=N, h=h, points=x)
 
 

@@ -98,19 +98,22 @@ def test_criterion_5_intertwining_residuals():
     probes = ops.gaussian_probes(g)
 
     P = q.build_eta(g, q.ParityEta())
-    r_parity = ops.intertwining_residual(P, shared.hamiltonian("special-b1", 2.0, 0.0, 1600), probes)
+    r_parity = ops.intertwining_residual(
+        P, shared.hamiltonian("special-b1", 2.0, 0.0, 1600), probes).max()
 
     eta1 = q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")))
-    r_first = ops.intertwining_residual(eta1, shared.hamiltonian("first-order", 2.0, 0.0, 1600), probes)
+    r_first = ops.intertwining_residual(
+        eta1, shared.hamiltonian("first-order", 2.0, 0.0, 1600), probes).max()
     g2 = shared.grid(3200)
     eta1_2 = q.build_eta(g2, q.FirstOrderEta(expr.parse("2*sech(x)")))
     r_first_2 = ops.intertwining_residual(
-        eta1_2, shared.hamiltonian("first-order", 2.0, 0.0, 3200), ops.gaussian_probes(g2))
+        eta1_2, shared.hamiltonian("first-order", 2.0, 0.0, 3200), ops.gaussian_probes(g2)).max()
 
     pot = q.scarf2_potential(2.0, 1.0)
     a = expr.parse("-2.5*sech(x)")
     eta2 = q.build_eta(g, q.SecondOrderEta(a, 0.25, pot))
-    r_second = ops.intertwining_residual(eta2, shared.hamiltonian("scarf2", 2.0, 1.0, 1600), probes)
+    r_second = ops.intertwining_residual(
+        eta2, shared.hamiltonian("scarf2", 2.0, 1.0, 1600), probes).max()
     fact = ops.verify_factorization(g, a, 0.0, expr.parse("tanh(x)/2"), eta2, probes)
 
     reduction = r_first / max(r_first_2, 1e-300)
@@ -129,8 +132,8 @@ def test_criterion_6_eta_plus_minus_complementarity():
     eta = q.build_eta(g, q.ParityEta()) + q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")))
     plus, minus = ops.eta_plus_minus(eta)
     probes = ops.gaussian_probes(g)
-    r_plus = ops.intertwining_residual(plus, H, probes)
-    r_minus = ops.intertwining_residual(minus, H, probes)
+    r_plus = ops.intertwining_residual(plus, H, probes).max()
+    r_minus = ops.intertwining_residual(minus, H, probes).max()
     ok = r_plus <= 1e-6 and r_minus <= 1e-6
     _report("eta-plus-minus", ok,
             f"strict part {r_plus:.2e}, weak part {r_minus:.2e} (both vs 1e-6)")

@@ -445,6 +445,23 @@ def test_nan_guard_reports_last_step():
     assert 0 < exc.value.last_valid_step < 100
 
 
+def test_nan_guard_fires_when_the_field_overflows_under_a_finite_q():
+    # under the smallest normal weight, w conj(psi2) psi1 stays finite until
+    # psi itself overflows (at weight 1e-300 Q still overflows a step first),
+    # so the Q test alone must stop the run at the field's first non-finite step
+    g = q.make_grid(4.0, 30)
+    dt = 1e-2
+    H = (1.99998j / dt) * np.eye(g.N, dtype=complex)
+    psi0 = evolve.gaussian_state(g, 0.0, 0.5)
+    prop, psi, k = evolve._CrankNicolson(H, dt), psi0[:, None], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.all(np.isfinite(psi)):
+            psi, k = prop.step(psi), k + 1
+    with pytest.raises(NanAbortError) as exc:
+        evolve.run(H, g, np.full(g.N, np.finfo(float).tiny), psi0, psi0, 1.0, dt)
+    assert exc.value.last_valid_step == k - 1
+
+
 def test_run_rejects_non_finite_initial_state():
     g = q.make_grid(4.0, 30)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))

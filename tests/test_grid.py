@@ -37,6 +37,28 @@ def test_grid_symmetry_is_exact(N):
     assert g.h * (N + 1) == pytest.approx(2 * 7.3, rel=1e-15)
 
 
+def _mirror_loop_points(L, N):
+    """Mesh nodes by the per-node mirror loop, the reference for make_grid."""
+    h = 2.0 * L / (N + 1)
+    x = np.empty(N)
+    half = N // 2
+    for j in range(half):
+        x[j] = -L + (j + 1) * h
+        x[N - 1 - j] = -x[j]
+    if N % 2 == 1:
+        x[half] = 0.0
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(3, 2000),
+    L=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+)
+def test_make_grid_matches_the_mirror_loop_bit_for_bit(N, L):
+    assert make_grid(L, N).points.tobytes() == _mirror_loop_points(L, N).tobytes()
+
+
 def test_fornberg_reproduces_classic_stencils():
     w = fornberg_weights(0.0, np.array([-1.0, 0.0, 1.0]), 2)
     np.testing.assert_allclose(w, [1.0, -2.0, 1.0], atol=1e-13)

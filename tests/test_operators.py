@@ -1,11 +1,13 @@
 """Hamiltonian/eta builders, intertwining residuals, SUSY pairs, factorization."""
 
+import json
+
 import numpy as np
 import pytest
 
 import conftest as shared
 import etaqm as q
-from etaqm import eigen, expr
+from etaqm import cli, eigen, expr
 from etaqm import operators as ops
 from etaqm.errors import DimensionError, OddFunctionError, PoleError
 
@@ -169,14 +171,14 @@ def test_hermitian_case_identity_metric():
     g = shared.grid(400)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
     eta = np.eye(g.N, dtype=complex)
-    assert ops.intertwining_residual(eta, H, ops.gaussian_probes(g)) <= 1e-12
+    assert ops.intertwining_residual(eta, H, ops.gaussian_probes(g)).max() <= 1e-12
 
 
 def test_parity_intertwines_pt_symmetric_hamiltonian():
     g = shared.grid(1600)
     H = shared.hamiltonian("special-b1", 2.0, 0.0, 1600)
     P = q.build_eta(g, q.ParityEta())
-    assert ops.intertwining_residual(P, H, ops.gaussian_probes(g)) <= 1e-8
+    assert ops.intertwining_residual(P, H, ops.gaussian_probes(g)).max() <= 1e-8
 
 
 def test_first_order_eta_intertwines_its_family():
@@ -185,7 +187,7 @@ def test_first_order_eta_intertwines_its_family():
         g = shared.grid(N)
         H = shared.hamiltonian("first-order", 2.0, 0.0, N)
         eta = q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")))
-        residuals[N] = ops.intertwining_residual(eta, H, ops.gaussian_probes(g))
+        residuals[N] = ops.intertwining_residual(eta, H, ops.gaussian_probes(g)).max()
     assert residuals[1600] <= 1e-6
     # at least stencil-order improvement under refinement
     assert residuals[3200] <= residuals[1600] / 3.0
@@ -196,7 +198,7 @@ def test_second_order_eta_intertwines_scarf2():
     pot = q.scarf2_potential(2.0, 1.0)
     H = shared.hamiltonian("scarf2", 2.0, 1.0, 1600)
     eta = q.build_eta(g, q.SecondOrderEta(expr.parse("-2.5*sech(x)"), 0.25, pot))
-    assert ops.intertwining_residual(eta, H, ops.gaussian_probes(g)) <= 1e-6
+    assert ops.intertwining_residual(eta, H, ops.gaussian_probes(g)).max() <= 1e-6
 
 
 def test_residual_requires_matching_shapes():
@@ -211,8 +213,9 @@ def test_residuals_agree_for_dense_and_sparse_operands():
     H = q.build_hamiltonian(g, q.first_order_potential(2.0), accuracy=4)
     eta = q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")), accuracy=4)
     probes = ops.gaussian_probes(g)
-    sparse = (ops.intertwining_residual(eta, H, probes), *ops.hermiticity_indicators(eta, probes))
-    dense = (ops.intertwining_residual(eta.toarray(), H.toarray(), probes),
+    sparse = (ops.intertwining_residual(eta, H, probes).max(),
+              *ops.hermiticity_indicators(eta, probes))
+    dense = (ops.intertwining_residual(eta.toarray(), H.toarray(), probes).max(),
              *ops.hermiticity_indicators(eta.toarray(), probes))
     np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-15)
 
@@ -223,7 +226,7 @@ def test_zero_scale_gives_zero_for_zero_defect_and_inf_otherwise():
     minus = ops.eta_plus_minus(q.build_eta(g, q.ParityEta()))[1]  # the zero matrix
     H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0))
     with np.errstate(all="raise"):
-        assert ops.intertwining_residual(minus, H, probes) == 0.0
+        assert ops.intertwining_residual(minus, H, probes).max() == 0.0
         assert ops.hermiticity_indicators(minus, probes) == (0.0, 0.0)
         rep = ops.verify_factorization(g, expr.parse("-2.5*sech(x)"), 0.0,
                                        expr.parse("tanh(x)/2"), minus, probes)
@@ -238,6 +241,110 @@ def test_an_infinite_eta_entry_gives_nan_defects_not_zero():
         eta = q.build_eta(g, q.SecondOrderEta(expr.parse("-2.5*sech(x)"), np.inf, pot))
         herm, anti = ops.hermiticity_indicators(eta, ops.gaussian_probes(g))
     assert np.isnan(herm) and np.isnan(anti)
+
+
+def _probe_residual_per_vector(defect_apply, scale, probes, margin=ops._PROBE_MARGIN):
+    """max over the probes, one vector at a time: the reference for the block form."""
+    worst = 0.0
+    for w in probes:
+        num = np.linalg.norm(defect_apply(w)[margin:-margin])
+        if num == 0.0:
+            continue
+        den = scale * np.linalg.norm(w)
+        worst = np.maximum(worst, num / den if den != 0 else np.inf)  # NaN propagates
+    return float(worst)
+
+
+def _verify_eta_per_vector(argv):
+    """The verify-eta residual fields, each probe applied as its own vector."""
+    args = cli.build_parser().parse_args(argv)
+    potential = cli.potential_from_args(args)
+    g = q.make_grid(args.L, args.N)
+    H = ops.build_hamiltonian(g, potential, cli.gauge_from_args(args), args.accuracy)
+    eta = ops.build_eta(g, cli.eta_from_args(args, potential), args.accuracy)
+    probes = ops.gaussian_probes(g)
+    Hd, ed = H.conj().T, eta.conj().T
+
+    def intertwining(e, ws):
+        scale = np.linalg.norm((e @ H).data) / np.sqrt(g.N)
+        return _probe_residual_per_vector(lambda w: e @ (H @ w) - Hd @ (e @ w), scale, ws)
+
+    scale = np.linalg.norm(eta.data) / np.sqrt(g.N)
+    per_probe = [intertwining(eta, [w]) for w in probes]
+    fields = {
+        "residual": max(per_probe),
+        "residual_per_probe": per_probe,
+        "hermitian_defect": _probe_residual_per_vector(lambda w: eta @ w - ed @ w, scale, probes),
+        "anti_hermitian_defect": _probe_residual_per_vector(lambda w: eta @ w + ed @ w, scale,
+                                                            probes),
+        "eta_plus_residual": intertwining(eta + ed, probes),
+        "eta_minus_residual": intertwining(eta - ed, probes),
+    }
+    if args.factor_r:
+        rv = expr.evaluate_on(expr.parse(args.factor_r), g.points).real
+        av = expr.evaluate_on(expr.parse(args.a), g.points).real
+        D1 = q.diff_matrix(g, 1, args.accuracy)
+        O, Od = D1 + ops._diag(rv - 1j * av), -D1 + ops._diag(rv + 1j * av)
+        fields["factorization"] = _probe_residual_per_vector(
+            lambda w: eta @ w + Od @ (O @ w), scale, probes)
+    return fields
+
+
+_VERIFY_FAMILIES = {
+    "identity": ["--eta", "identity", "--V=-2.5*sech(x)^2"],
+    "parity": ["--eta", "parity", "--family", "special-b1", "--A", "2.3"],
+    "multiplicative": ["--eta", "multiplicative", "--family", "special-b1", "--A", "1.7",
+                       "--beta", "0.5"],
+    "first-order": ["--eta", "first-order", "--g", "2.6*sech(x)", "--family", "first-order",
+                    "--d", "2.6", "--accuracy", "4"],
+    "second-order": ["--eta", "second-order", "--a=-2.5*sech(x)", "--gamma", "0",
+                     "--delta", "0.25", "--factor-r", "tanh(x)/2",
+                     "--family", "scarf2", "--A", "2", "--B", "1"],
+}
+
+
+@pytest.mark.parametrize("N", [200, 401, 800])
+@pytest.mark.parametrize("family", sorted(_VERIFY_FAMILIES))
+def test_verify_eta_block_residuals_match_the_per_vector_loop_bit_for_bit(capsys, family, N):
+    argv = ["verify-eta", *_VERIFY_FAMILIES[family], "--L", "16", "--N", str(N)]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    ref = _verify_eta_per_vector(argv)
+    if "factorization" in ref:
+        assert out.pop("factorization")["probe_residual"] == ref.pop("factorization")
+    assert {k: out[k] for k in ref} == ref
+
+
+class _CountingH:
+    """Wraps H and counts the products eta @ H, which scipy hands to __rmatmul__."""
+
+    def __init__(self, H):
+        self.H, self.shape, self.eta_products = H, H.shape, 0
+
+    def conj(self):
+        return self.H.conj()
+
+    def __matmul__(self, W):
+        return self.H @ W
+
+    def __rmatmul__(self, eta):
+        self.eta_products += 1
+        return eta @ self.H
+
+
+@pytest.mark.parametrize("family", sorted(_VERIFY_FAMILIES))
+def test_verify_eta_forms_each_adjoint_and_eta_h_once_per_check(monkeypatch, capsys, family):
+    # one intertwining check each for eta, eta+ and eta-, one hermiticity
+    # check and one eta +- eta^dagger split: 5 adjoints and 3 products eta H
+    adjoints, hamiltonians = [], []
+    adjoint, build = ops.adjoint, ops.build_hamiltonian
+    monkeypatch.setattr(ops, "adjoint", lambda M: adjoints.append(1) or adjoint(M))
+    monkeypatch.setattr(ops, "build_hamiltonian",
+                        lambda *a: hamiltonians.append(_CountingH(build(*a))) or hamiltonians[-1])
+    assert cli.main(["verify-eta", *_VERIFY_FAMILIES[family], "--L", "16", "--N", "200"]) == 0
+    capsys.readouterr()
+    assert len(adjoints) <= 5
+    assert [H.eta_products for H in hamiltonians] == [3]
 
 
 @pytest.mark.parametrize("spec,pt", [
@@ -288,8 +395,8 @@ def test_parity_plus_first_order_decomposition_both_intertwine():
     eta = q.build_eta(g, q.ParityEta()) + q.build_eta(g, q.FirstOrderEta(expr.parse("2*sech(x)")))
     plus, minus = ops.eta_plus_minus(eta)
     probes = ops.gaussian_probes(g)
-    assert ops.intertwining_residual(plus, H, probes) <= 1e-6
-    assert ops.intertwining_residual(minus, H, probes) <= 1e-6
+    assert ops.intertwining_residual(plus, H, probes).max() <= 1e-6
+    assert ops.intertwining_residual(minus, H, probes).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
