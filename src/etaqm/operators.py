@@ -224,8 +224,18 @@ def gauge_antiderivative(grid: Grid, nu: Expr) -> np.ndarray:
 
 
 def gauge_weight(grid: Grid, beta: float, nu: Expr) -> np.ndarray:
-    """Multiplicative metric samples exp[-2 beta int_0^x nu]."""
-    return np.exp(-2.0 * beta * gauge_antiderivative(grid, nu))
+    """Multiplicative metric samples exp[-2 beta int_0^x nu].
+
+    Raises ParameterError, naming beta and max|int nu|, when a sample
+    overflows.
+    """
+    F = gauge_antiderivative(grid, nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-2.0 * beta * F)
+    if not np.all(np.isfinite(w)):
+        raise ParameterError(f"gauge weight exp(-2 beta int nu) is not finite: beta={beta!r}, "
+                             f"max|int nu|={float(np.max(np.abs(F)))!r}")
+    return w
 
 
 def parity_matrix(N: int):

@@ -226,6 +226,22 @@ def test_verify_eta_parity_minus_part_is_exactly_zero_without_warnings():
     assert json.loads(r.stdout)["eta_minus_residual"] == 0
 
 
+
+@pytest.mark.parametrize("command", [("evolve",), ("verify-eta", "--eta", "multiplicative")])
+def test_an_overflowing_gauge_weight_is_one_json_error_without_warnings(command):
+    # beta = -30 asks for exp(908) at the wall: evolve used to print three
+    # RuntimeWarnings and blame the initial states, verify-eta to exit 0 with
+    # every residual nan
+    r = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "etaqm.cli", *command,
+         "--family", "special-b1", "--A", "2", "--beta", "-30", "--N", "200"],
+        capture_output=True, text=True, timeout=300, env=shared.subprocess_env(),
+    )
+    assert r.returncode == 2 and r.stdout == ""
+    err = json.loads(r.stderr)  # the whole of stderr is one JSON object
+    assert err["code"] == 2
+    assert "beta=-30.0" in err["message"] and "max|int nu|=" in err["message"]
+
 def test_importing_the_cli_loads_no_scipy_sparse():
     code = ("import sys, etaqm.cli; "
             "print([m for m in sys.modules if m.startswith('scipy.sparse')])")

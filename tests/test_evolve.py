@@ -1,5 +1,7 @@
 """Crank-Nicolson stepping, conservation law, continuity diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -66,6 +68,30 @@ def test_cayley_step_matches_the_b_form_solve(N, bandwidth, seed, log_scale, log
     bound = _CAYLEY_TOL * kappa * (1 + np.linalg.norm(zH, 2)) * np.max(np.abs(psi))
     assert np.max(np.abs(out - ref)) <= bound
 
+
+
+@pytest.mark.parametrize("N, bandwidth", [(60, 2), (50, 49)])
+def test_banded_step_matches_a_dense_solve_when_superlu_pivots(N, bandwidth):
+    # |dt H| >> 1 on random complex bands: SuperLU swaps rows, and in the
+    # banded case the swaps widen L past the band of A; (50, 49) is dense
+    rng = np.random.default_rng(3)
+    offsets = range(-bandwidth, bandwidth + 1)
+    H = sp.diags([rng.normal(size=N - abs(o)) + 1j * rng.normal(size=N - abs(o)) for o in offsets],
+                 offsets, format="csr") * 1e4
+    dt = 0.1
+    prop = evolve._CrankNicolson(H, dt)
+    assert not np.array_equal(prop.gather, np.arange(N))
+    if bandwidth < N - 1:
+        assert prop.kl > bandwidth
+    psi = rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2))
+    zH = 0.5j * dt * H.toarray()
+    eye = np.eye(N)
+    ref = scipy.linalg.solve(eye + zH, (eye - zH) @ psi)
+    bound = (_CAYLEY_TOL * np.linalg.cond(eye + zH) * (1 + np.linalg.norm(zH, 2))
+             * np.max(np.abs(psi)))
+    out = prop.step(psi)
+    assert np.max(np.abs(out - ref)) <= bound
+    assert np.array_equal(prop.step(psi[:, 1]), out[:, 1])  # columns are solved one by one
 
 def test_phase_error_is_second_order_in_dt():
     E = 2.0
@@ -284,6 +310,125 @@ def test_run_is_bit_identical_to_the_two_column_record(case):
     assert np.array_equal(tr.final_states[0], final1)
     assert np.array_equal(tr.final_states[1], final2)
 
+
+
+def _per_step_run(H, grid, w, psi1_0, psi2_0, T, dt):
+    """The record of evolve.run taken one step at a time, as it was before
+    blocks: Q, the per-step defect and both final states, with the same
+    NanAbortError guard."""
+    steps = round(T / dt)
+    prop = evolve._CrankNicolson(H, dt)
+    bonds = [(o, 0.25j * dt * s) for o, s in evolve._bonds(H, w)]
+    same = psi1_0.tobytes() == psi2_0.tobytes()
+    psi = np.column_stack([psi1_0] if same else [psi1_0, psi2_0]).astype(complex)
+    Q = np.empty(steps + 1, dtype=complex)
+    defect_max = np.zeros(steps + 1)
+
+    def density(k):
+        P = w * np.conj(psi[::-1, -1]) * psi[:, 0]
+        Q[k] = grid.h * P.sum()
+        return P
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        P_old = density(0)
+        for k in range(1, steps + 1):
+            old, psi = psi, prop.step(psi)
+            P = density(k)
+            mid = old + psi
+            mpsi, mphi = mid[:, 0], np.conj(mid[::-1, -1])
+            r = P - P_old
+            for o, c in bonds:
+                F = mpsi[:-o] * mphi[o:]
+                F -= mphi[:-o] * mpsi[o:]
+                F *= c
+                r[:-o] -= F
+                r[o:] += F
+            defect_max[k] = np.max(np.abs(r)) / dt
+            P_old = P
+            if not np.isfinite(Q[k]):
+                raise NanAbortError(last_valid_step=k - 1)
+    return Q, defect_max, psi[:, 0], psi[:, -1]
+
+
+_K = evolve._BLOCK
+
+
+@pytest.mark.parametrize("steps", sorted({1, _K - 1, _K, _K + 1, 3 * _K + 2} - {0}))
+@pytest.mark.parametrize("fields", [1, 2])
+@pytest.mark.parametrize("accuracy", [2, 4])
+def test_block_record_is_bit_identical_to_the_per_step_record(steps, fields, accuracy):
+    g = q.make_grid(8.0, 200)
+    gauge = q.GaugeSpec(shared.GAUGE_BETA, expr.parse("tanh(x)"))
+    H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), gauge, accuracy)
+    w = operators.gauge_weight(g, gauge.beta, gauge.nu)
+    # packets at the walls, where a bond that wraps from one row of a block
+    # into the next would carry flux if its weight were not 0
+    psi1 = evolve.gaussian_state(g, -6.5, 0.8, 1.0)
+    psi2 = psi1.copy() if fields == 1 else evolve.gaussian_state(g, 6.0, 1.3, -0.6)
+    dt = 1e-2
+    tr = evolve.run(H, g, w, psi1, psi2, steps * dt, dt)
+    Q, defect, final1, final2 = _per_step_run(H, g, w, psi1, psi2, steps * dt, dt)
+    assert len(tr.Q) == steps + 1
+    assert np.array_equal(tr.Q, Q)
+    assert np.array_equal(tr.continuity_residual, defect)
+    assert np.array_equal(tr.final_states[0], final1)
+    assert np.array_equal(tr.final_states[1], final2)
+
+
+# under this gain the field grows by 2e5 a step and Q by 4e10, so a field
+# scaled to Q(0) = max float / 4e10^(k - 1/2) first overflows Q at step k
+_GAIN_PER_STEP = 1.99999 / 1e-5
+
+
+@pytest.mark.parametrize("first_bad", [2 * _K + 2, 2 * _K, 2 * _K + 1],
+                         ids=["mid-block", "last-step-of-a-block", "first-step-of-a-block"])
+def test_block_record_aborts_at_the_per_step_last_valid_step(first_bad):
+    g = q.make_grid(4.0, 30)
+    dt = 1e-2
+    H = (1.99998j / dt) * np.eye(g.N, dtype=complex)
+    psi = evolve.gaussian_state(g, 0.0, 0.5)  # Q(0) = 1
+    psi *= np.sqrt(np.finfo(float).max) / _GAIN_PER_STEP ** (first_bad - 0.5)
+    w = np.ones(g.N)
+    with pytest.raises(NanAbortError) as ref:
+        _per_step_run(H, g, w, psi, psi, 1.0, dt)
+    assert ref.value.last_valid_step == first_bad - 1  # the scale put it there
+    with pytest.raises(NanAbortError) as exc:
+        evolve.run(H, g, w, psi, psi, 1.0, dt)
+    assert exc.value.last_valid_step == first_bad - 1
+
+
+def test_run_memory_stays_within_a_few_blocks():
+    # 3000 steps at N = 1600: beyond its trace arrays, run holds the factor,
+    # the tiled bond weights, the (K + 1, N) state blocks and the record's
+    # workspace, never a row per step.  Measured at K = 4: 53 rows of N
+    # complex with one field and 62 with two.
+    g = shared.grid(1600)
+    H = shared.hamiltonian("special-b1", 2.0, 0.0, 1600, beta=shared.GAUGE_BETA, accuracy=4)
+    w = shared.exact_gauge_weight(1600)
+    psi1, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.3, 1.1, 0.4))
+    psi2, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, -0.3, 1.1, 0.4))
+    evolve.run(H, g, w, psi1, psi2, 0.01, 1e-3)  # imports and first-call caches
+    row = g.N * np.dtype(complex).itemsize
+    for psi2_0 in (psi1, psi2):
+        tracemalloc.start()
+        try:
+            tr = evolve.run(H, g, w, psi1, psi2_0, 3.0, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trace = tr.times.nbytes + tr.Q.nbytes + tr.continuity_residual.nbytes
+        assert peak - trace <= (24 + 16 * evolve._BLOCK) * row
+
+
+def test_run_rejects_a_non_finite_weight():
+    g = q.make_grid(4.0, 30)
+    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))
+    psi = evolve.gaussian_state(g, 0.0, 0.5)
+    for bad in (np.inf, np.nan):
+        w = np.ones(g.N)
+        w[-1] = bad
+        with pytest.raises(ParameterError, match="weight"):
+            evolve.run(H, g, w, psi, psi, 0.1, 1e-2)
 
 def test_equal_fields_step_one_column(monkeypatch):
     g = q.make_grid(6.0, 60)

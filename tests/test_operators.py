@@ -9,7 +9,7 @@ import conftest as shared
 import etaqm as q
 from etaqm import cli, eigen, expr
 from etaqm import operators as ops
-from etaqm.errors import DimensionError, OddFunctionError, PoleError
+from etaqm.errors import DimensionError, OddFunctionError, ParameterError, PoleError
 
 
 TANH = expr.parse("tanh(x)")
@@ -131,6 +131,18 @@ def test_multiplicative_weight_matches_closed_form():
         err = np.max(np.abs(w - 1 / np.cosh(g.points)))
         assert err <= 0.2 * g.h**2
 
+
+
+def test_an_overflowing_gauge_weight_raises_naming_beta_and_the_antiderivative():
+    # int_0^x tanh = ln cosh reaches 15.14 at the wall of L = 16, so beta = -30
+    # asks for exp(908), past the largest float
+    g = shared.grid(200)
+    with np.errstate(all="raise"):  # no floating-point warning on the way
+        with pytest.raises(ParameterError, match=r"beta=-30\.0, max\|int nu\|=15\.14"):
+            ops.gauge_weight(g, -30.0, TANH)
+        with pytest.raises(ParameterError, match="beta=-30"):
+            q.build_eta(g, q.MultiplicativeEta(-30.0, TANH))
+    assert np.all(np.isfinite(ops.gauge_weight(g, -20.0, TANH)))  # exp(606) is still finite
 
 def test_parity_squares_to_identity():
     g = q.make_grid(3.0, 24)
