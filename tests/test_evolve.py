@@ -244,33 +244,43 @@ def test_flux_law_is_exact_when_the_weight_symmetrizes_h(N, width, seed, log_sca
     assert tr.continuity_residual.max() <= _FLUX_TOL * w.max() * M**2 * (1 + zH) / dt
 
 
-def _two_column_run(H, grid, w, psi1_0, psi2_0, T, dt):
-    """The record of evolve.run with psi1 and psi2 always stepped as two
-    columns: Q, the per-step defect and both final states."""
+def _per_step_run(H, grid, w, psi1_0, psi2_0, T, dt, two_columns=False):
+    """The record of evolve.run taken one step at a time, as it was before
+    blocks: Q, the per-step defect and both final states, with the same
+    NanAbortError guard.  psi1 and psi2 step as one column when they are
+    equal bit for bit, unless two_columns is set."""
     steps = round(T / dt)
     prop = evolve._CrankNicolson(H, dt)
     bonds = [(o, 0.25j * dt * s) for o, s in evolve._bonds(H, w)]
-    psi = np.column_stack([psi1_0, psi2_0]).astype(complex)
+    same = not two_columns and psi1_0.tobytes() == psi2_0.tobytes()
+    psi = np.column_stack([psi1_0] if same else [psi1_0, psi2_0]).astype(complex)
     Q = np.empty(steps + 1, dtype=complex)
     defect_max = np.zeros(steps + 1)
-    P_old = w * np.conj(psi[::-1, 1]) * psi[:, 0]
-    Q[0] = grid.h * P_old.sum()
-    for k in range(1, steps + 1):
-        old, psi = psi, prop.step(psi)
-        P = w * np.conj(psi[::-1, 1]) * psi[:, 0]
+
+    def density(k):
+        P = w * np.conj(psi[::-1, -1]) * psi[:, 0]
         Q[k] = grid.h * P.sum()
-        mid = old + psi
-        mpsi, mphi = mid[:, 0], np.conj(mid[::-1, 1])
-        r = P - P_old
-        for o, c in bonds:
-            F = mpsi[:-o] * mphi[o:]
-            F -= mphi[:-o] * mpsi[o:]
-            F *= c
-            r[:-o] -= F
-            r[o:] += F
-        defect_max[k] = np.max(np.abs(r)) / dt
-        P_old = P
-    return Q, defect_max, psi[:, 0], psi[:, 1]
+        return P
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        P_old = density(0)
+        for k in range(1, steps + 1):
+            old, psi = psi, prop.step(psi)
+            P = density(k)
+            mid = old + psi
+            mpsi, mphi = mid[:, 0], np.conj(mid[::-1, -1])
+            r = P - P_old
+            for o, c in bonds:
+                F = mpsi[:-o] * mphi[o:]
+                F -= mphi[:-o] * mpsi[o:]
+                F *= c
+                r[:-o] -= F
+                r[o:] += F
+            defect_max[k] = np.max(np.abs(r)) / dt
+            P_old = P
+            if not np.isfinite(Q[k]):
+                raise NanAbortError(last_valid_step=k - 1)
+    return Q, defect_max, psi[:, 0], psi[:, -1]
 
 
 def _identity_case(case):
@@ -304,50 +314,11 @@ def _identity_case(case):
 def test_run_is_bit_identical_to_the_two_column_record(case):
     H, g, w, psi1, psi2, T = _identity_case(case)
     tr = evolve.run(H, g, w, psi1, psi2, T, 1e-3)
-    Q, defect, final1, final2 = _two_column_run(H, g, w, psi1, psi2, T, 1e-3)
+    Q, defect, final1, final2 = _per_step_run(H, g, w, psi1, psi2, T, 1e-3, two_columns=True)
     assert np.array_equal(tr.Q, Q)
     assert np.array_equal(tr.continuity_residual, defect)
     assert np.array_equal(tr.final_states[0], final1)
     assert np.array_equal(tr.final_states[1], final2)
-
-
-
-def _per_step_run(H, grid, w, psi1_0, psi2_0, T, dt):
-    """The record of evolve.run taken one step at a time, as it was before
-    blocks: Q, the per-step defect and both final states, with the same
-    NanAbortError guard."""
-    steps = round(T / dt)
-    prop = evolve._CrankNicolson(H, dt)
-    bonds = [(o, 0.25j * dt * s) for o, s in evolve._bonds(H, w)]
-    same = psi1_0.tobytes() == psi2_0.tobytes()
-    psi = np.column_stack([psi1_0] if same else [psi1_0, psi2_0]).astype(complex)
-    Q = np.empty(steps + 1, dtype=complex)
-    defect_max = np.zeros(steps + 1)
-
-    def density(k):
-        P = w * np.conj(psi[::-1, -1]) * psi[:, 0]
-        Q[k] = grid.h * P.sum()
-        return P
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        P_old = density(0)
-        for k in range(1, steps + 1):
-            old, psi = psi, prop.step(psi)
-            P = density(k)
-            mid = old + psi
-            mpsi, mphi = mid[:, 0], np.conj(mid[::-1, -1])
-            r = P - P_old
-            for o, c in bonds:
-                F = mpsi[:-o] * mphi[o:]
-                F -= mphi[:-o] * mpsi[o:]
-                F *= c
-                r[:-o] -= F
-                r[o:] += F
-            defect_max[k] = np.max(np.abs(r)) / dt
-            P_old = P
-            if not np.isfinite(Q[k]):
-                raise NanAbortError(last_valid_step=k - 1)
-    return Q, defect_max, psi[:, 0], psi[:, -1]
 
 
 _K = evolve._BLOCK
