@@ -8,6 +8,19 @@ byte-identical across runs and across --jobs settings (fixed field order,
 floats at 17 significant digits, no timestamps).  Errors go to stderr as
 {"code", "message", "context"} JSON; exit codes: 0 ok, 2 config error,
 3 solver failure, 4 NaN abort.
+
+Each subcommand takes only the flags it reads, and every one takes --out.
+The flag groups are grid (--L --N --accuracy), potential (--family --A --B
+--d --k --V) and gauge (--beta --nu):
+spectrum: grid, potential, gauge;
+verify-eta: grid, potential, gauge, --eta --g --a --gamma --delta --factor-r;
+sweep: grid, --A --B --k (the fixed values of the other axes), --axis --start
+--stop --step --V1 --tol --jobs;
+evolve: grid, potential, gauge, --T --dt --weight --state-index --gauss-x0
+--gauss-sigma --gauss-k;
+levels: --family --A --B --d --k.
+A flag matches by its full name only: an abbreviation such as --acc, or a flag
+that the subcommand does not take, is a config error (exit 2).
 """
 
 from __future__ import annotations
@@ -114,7 +127,7 @@ FAMILY_FLAGS = {"scarf2": ("A", "B"), "first-order": ("d",), "special-b1": ("A",
 
 def family_from_args(args) -> str | None:
     """The --family value, once every flag it needs is set."""
-    family = getattr(args, "family", None)
+    family = args.family
     needs = FAMILY_FLAGS.get(family, ())
     if any(getattr(args, name) is None for name in needs):
         raise CliError(EXIT_CONFIG, f"{family} family needs "
@@ -132,17 +145,16 @@ def potential_from_args(args) -> operators.PotentialSpec:
         # the B = 1 point without the A - B + 1/2 gate: a half-integer A
         # stays allowed, and `levels` flags its level collision as degenerate
         return operators.ScarfII(*models.scarf2_strengths(args.A, 1.0))
-    if getattr(args, "V", None):
+    if args.V:
         return operators.CustomPotential(parse_expression(args.V, "potential"))
     raise CliError(EXIT_CONFIG, "specify --family or a --V expression")
 
 
 def gauge_from_args(args) -> operators.GaugeSpec | None:
-    beta = getattr(args, "beta", 0.0) or 0.0
-    if beta == 0.0:
+    if args.beta == 0.0:
         return None
-    nu = parse_expression(getattr(args, "nu", None) or "tanh(x)", "gauge field")
-    return operators.GaugeSpec(beta=beta, nu=nu)
+    nu = parse_expression(args.nu or "tanh(x)", "gauge field")
+    return operators.GaugeSpec(beta=args.beta, nu=nu)
 
 
 def analytic_levels(args) -> models.LevelSet | None:
@@ -196,8 +208,8 @@ def cmd_spectrum(args) -> int:
     out = {
         "config": {
             "L": args.L, "N": args.N, "accuracy": args.accuracy,
-            "family": getattr(args, "family", None) or "custom",
-            "beta": getattr(args, "beta", 0.0) or 0.0,
+            "family": args.family or "custom",
+            "beta": args.beta or 0.0,
         },
         "eigenvalues": complex_list(report.eigenvalues),
         "classification": list(report.classification),
@@ -329,6 +341,9 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CliError(EXIT_CONFIG, f"--jobs must be at least 1, got {args.jobs}",
+                       {"jobs": args.jobs})
     values = sweep_values(args.start, args.stop, args.step)
     if not values:
         raise CliError(EXIT_CONFIG, "empty sweep range",
@@ -395,6 +410,9 @@ def cmd_evolve(args) -> int:
     H = operators.build_hamiltonian(grid, potential, gauge, args.accuracy)
 
     flags = []
+    if gauge is not None and abs(gauge.beta) * grid.h * np.max(
+            np.abs(expr.evaluate_on(gauge.nu, grid.points))) >= 1.0:
+        flags.append("under-resolved-gauge")  # the off-diagonals of H change sign
     if args.weight == "gauge" and gauge is not None:
         w = operators.gauge_weight(grid, gauge.beta, gauge.nu)
     else:
@@ -423,7 +441,7 @@ def cmd_evolve(args) -> int:
         "config": {
             "L": args.L, "N": args.N, "T": args.T, "dt": args.dt,
             "weight": args.weight, "accuracy": args.accuracy,
-            "beta": getattr(args, "beta", 0.0) or 0.0,
+            "beta": args.beta or 0.0,
         },
         "Q0": complex(Q0),
         "max_drift": float(drift),
@@ -453,27 +471,37 @@ def cmd_levels(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag matches by its full name only
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # machine-readable config errors on stderr
         emit_error(EXIT_CONFIG, message, {})
         raise SystemExit(EXIT_CONFIG)
 
 
-def _add_common(p: argparse.ArgumentParser, evolution: bool = False):
-    p.add_argument("--L", type=float, default=DEFAULTS["L"], help="box half-width")
-    p.add_argument("--N", type=int, default=DEFAULTS["N"], help="interior grid points")
-    p.add_argument("--accuracy", type=int, default=2, choices=(2, 4))
-    p.add_argument("--family", choices=("scarf2", "first-order", "special-b1"))
-    p.add_argument("--A", type=float)
-    p.add_argument("--B", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--k", type=float, default=0.0)
-    p.add_argument("--V", help="potential expression, e.g. '-7*sech(x)^2'")
-    p.add_argument("--beta", type=float, default=0.0, help="gauge coupling")
-    p.add_argument("--nu", help="odd gauge field expression (default tanh(x))")
-    p.add_argument("--out", help="write the report/table to this path")
-    if evolution:
-        p.add_argument("--T", type=float, default=DEFAULTS["T"])
-        p.add_argument("--dt", type=float, default=DEFAULTS["dt"])
+# flag -> its argparse options; each subcommand registers only the flags it reads
+_FLAGS = {
+    "L": dict(type=float, default=DEFAULTS["L"], help="box half-width"),
+    "N": dict(type=int, default=DEFAULTS["N"], help="interior grid points"),
+    "accuracy": dict(type=int, default=2, choices=(2, 4)),
+    "family": dict(choices=("scarf2", "first-order", "special-b1")),
+    "A": dict(type=float),
+    "B": dict(type=float),
+    "d": dict(type=float),
+    "k": dict(type=float, default=0.0),
+    "V": dict(help="potential expression, e.g. '-7*sech(x)^2'"),
+    "beta": dict(type=float, default=0.0, help="gauge coupling"),
+    "nu": dict(help="odd gauge field expression (default tanh(x))"),
+    "out": dict(help="write the report/table to this path"),
+}
+GRID = ("L", "N", "accuracy")
+POTENTIAL = ("family", "A", "B", "d", "k", "V")
+GAUGE = ("beta", "nu")
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str):
+    for name in (*names, "out"):
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 @functools.lru_cache(maxsize=1)
@@ -488,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="eigenvalues, classification, analytic deviations")
-    _add_common(p)
+    _add_flags(p, *GRID, *POTENTIAL, *GAUGE)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("verify-eta", help="intertwining and decomposition residuals")
-    _add_common(p)
+    _add_flags(p, *GRID, *POTENTIAL, *GAUGE)
     p.add_argument("--eta", required=True,
                    choices=("identity", "parity", "multiplicative", "first-order", "second-order"))
     p.add_argument("--g", help="first-order metric coefficient g(x)")
@@ -503,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_eta)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
-    _add_common(p)
+    _add_flags(p, *GRID, "A", "B", "k")
     p.add_argument("--axis", required=True, choices=("V2", "d", "A", "B"))
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
@@ -515,7 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("evolve", help="Crank-Nicolson run with conservation report")
-    _add_common(p, evolution=True)
+    _add_flags(p, *GRID, *POTENTIAL, *GAUGE)
+    p.add_argument("--T", type=float, default=DEFAULTS["T"])
+    p.add_argument("--dt", type=float, default=DEFAULTS["dt"])
     p.add_argument("--weight", choices=("gauge", "unit"), default="gauge")
     p.add_argument("--state-index", dest="state_index", type=int,
                    help="initial state = eigenvector of this (Re-sorted) index")
@@ -525,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("levels", help="analytic level sets")
-    _add_common(p)
+    _add_flags(p, "family", "A", "B", "d", "k")
     p.set_defaults(fn=cmd_levels)
 
     return ap

@@ -16,11 +16,17 @@ Grammar (all binary operators left-associative; precedence low to high):
 ``i`` is the reserved imaginary unit, ``x`` the only variable.  Supported
 functions: sech, tanh, cosh, sinh, exp, sin, cos, ln, sqrt.  ``^`` takes only
 integer constant exponents, which keeps complex powers single-valued.
+
+One evaluator, numpy complex arithmetic on an array of points, serves every
+caller: `evaluate(e, x)` is its one-point case, and the parser's check of a
+constant exponent goes through it too.  Only a non-finite result is an error:
+intermediate values may overflow (1/exp(x) at x = 1000 is 0).  The DomainError
+then names the innermost subterm that is non-finite at the first offending
+point, as `to_source` prints it: 'ln(x - 1.0)' at x = 1, 'exp(x)' at x = 1000.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,21 +309,17 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-def _contains_var(e: Expr) -> bool:
+def _children(e: Expr) -> tuple:
     match e:
-        case Var():
-            return True
-        case Const(_):
-            return False
-        case Neg(child):
-            return _contains_var(child)
-        case Pow(base, _):
-            return _contains_var(base)
-        case Call(_, arg):
-            return _contains_var(arg)
+        case Neg(child) | Pow(child, _) | Call(_, child):
+            return (child,)
         case BinOp(_, left, right):
-            return _contains_var(left) or _contains_var(right)
-    raise TypeError(f"not an expression node: {e!r}")
+            return (left, right)
+    return ()
+
+
+def _contains_var(e: Expr) -> bool:
+    return isinstance(e, Var) or any(map(_contains_var, _children(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +327,7 @@ def _contains_var(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS = {
-    "sech": lambda z: 1.0 / cmath.cosh(z),  # sech defined once, via cosh
-    "tanh": cmath.tanh,
-    "cosh": cmath.cosh,
-    "sinh": cmath.sinh,
-    "exp": cmath.exp,
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "ln": cmath.log,
-    "sqrt": cmath.sqrt,
-}
-
-_NUMPY_FUNCTIONS = {
-    "sech": lambda z: 1.0 / np.cosh(z),
+    "sech": lambda z: 1.0 / np.cosh(z),  # sech defined once, via cosh
     "tanh": np.tanh,
     "cosh": np.cosh,
     "sinh": np.sinh,
@@ -350,63 +340,41 @@ _NUMPY_FUNCTIONS = {
 
 
 def evaluate(e: Expr, x: float) -> complex:
-    """Evaluate at a single real x with complex arithmetic throughout.
-
-    Raises DomainError naming the offending subterm on division by zero,
-    log of zero, or overflow.
-    """
-    match e:
-        case Const(value):
-            return value
-        case Var():
-            return complex(x)
-        case Neg(child):
-            return -evaluate(child, x)
-        case BinOp("+", left, right):
-            return evaluate(left, x) + evaluate(right, x)
-        case BinOp("-", left, right):
-            return evaluate(left, x) - evaluate(right, x)
-        case BinOp("*", left, right):
-            return evaluate(left, x) * evaluate(right, x)
-        case BinOp("/", left, right):
-            den = evaluate(right, x)
-            if den == 0:
-                raise DomainError(f"division by zero at x={x}", to_source(e))
-            return evaluate(left, x) / den
-        case Pow(base, exponent):
-            b = evaluate(base, x)
-            try:
-                return b ** exponent
-            except (ZeroDivisionError, OverflowError) as exc:  # 0^-n, or b^n out of range
-                raise DomainError(f"{exc} at x={x}", to_source(e)) from None
-        case Call(func, arg):
-            v = evaluate(arg, x)
-            try:
-                return _FUNCTIONS[func](v)
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"{exc} at x={x}", to_source(e)) from None
-    raise TypeError(f"not an expression node: {e!r}")
+    """`evaluate_on` at the single real point x."""
+    return complex(evaluate_on(e, np.array([x], dtype=float))[0])
 
 
 def evaluate_on(e: Expr, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of real points.
 
-    Non-finite results are localized by re-evaluating the first offending
-    point through the scalar path, which names the subterm.
+    A non-finite result raises DomainError at the first offending point,
+    naming the innermost subterm that is non-finite there.
     """
     xs = np.asarray(xs, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(_ev_np(e, xs), dtype=complex)
-    except (ZeroDivisionError, OverflowError):  # a constant subterm, in Python complex
-        out = np.full(xs.shape, np.nan, dtype=complex)
-    out = np.broadcast_to(out, xs.shape).astype(complex)
+    out = np.broadcast_to(_ev_safe(e, xs), xs.shape).astype(complex)
     bad = ~np.isfinite(out)
     if bad.any():
-        x_bad = float(xs[np.argmax(bad)])
-        evaluate(e, x_bad)  # expected to raise with the offending subterm
-        raise DomainError(f"non-finite value at x={x_bad}", to_source(e))
+        x_bad = xs.flat[np.argmax(bad)]  # xs may be 0-d
+        raise DomainError(f"non-finite value at x={float(x_bad)}",
+                          to_source(_innermost_non_finite(e, x_bad[None])))
     return out
+
+
+def _ev_safe(e: Expr, xs: np.ndarray):
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(_ev_np(e, xs), dtype=complex)
+    except (ZeroDivisionError, OverflowError):  # a constant subterm, in Python complex
+        return np.full(xs.shape, np.nan, dtype=complex)
+
+
+def _innermost_non_finite(e: Expr, x: np.ndarray) -> Expr:
+    """The innermost subterm of e that is non-finite at x, on the path of the
+    first non-finite child."""
+    for child in _children(e):
+        if not np.all(np.isfinite(_ev_safe(child, x))):
+            return _innermost_non_finite(child, x)
+    return e
 
 
 def _ev_np(e: Expr, xs: np.ndarray):
@@ -428,7 +396,7 @@ def _ev_np(e: Expr, xs: np.ndarray):
         case Pow(base, exponent):
             return _ev_np(base, xs) ** exponent
         case Call(func, arg):
-            return _NUMPY_FUNCTIONS[func](_ev_np(arg, xs))
+            return _FUNCTIONS[func](_ev_np(arg, xs))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -227,14 +227,14 @@ def gauge_weight(grid: Grid, beta: float, nu: Expr) -> np.ndarray:
     """Multiplicative metric samples exp[-2 beta int_0^x nu].
 
     Raises ParameterError, naming beta and max|int nu|, when a sample
-    overflows.
+    overflows or underflows to 0.
     """
     F = gauge_antiderivative(grid, nu)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         w = np.exp(-2.0 * beta * F)
-    if not np.all(np.isfinite(w)):
-        raise ParameterError(f"gauge weight exp(-2 beta int nu) is not finite: beta={beta!r}, "
-                             f"max|int nu|={float(np.max(np.abs(F)))!r}")
+    if not np.all((w > 0) & np.isfinite(w)):
+        raise ParameterError(f"gauge weight exp(-2 beta int nu) is not finite and positive: "
+                             f"beta={beta!r}, max|int nu|={float(np.max(np.abs(F)))!r}")
     return w
 
 

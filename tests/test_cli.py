@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -13,9 +14,10 @@ import conftest as shared
 from etaqm import cli, eigen, evolve
 
 
-def run_cli(*args, timeout=300):
+def run_cli(*args, timeout=300, warnings_as_errors=False):
     return subprocess.run(
-        [sys.executable, "-m", "etaqm.cli", *args],
+        [sys.executable, *(["-W", "error"] if warnings_as_errors else []), "-m", "etaqm.cli",
+         *args],
         capture_output=True, text=True, timeout=timeout, env=shared.subprocess_env(),
     )
 
@@ -217,11 +219,8 @@ def test_evolve_flags_non_pt_potential():
 
 
 def test_verify_eta_parity_minus_part_is_exactly_zero_without_warnings():
-    r = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "etaqm.cli", "verify-eta", "--eta", "parity",
-         "--family", "special-b1", "--A", "2", "--N", "200"],
-        capture_output=True, text=True, timeout=300, env=shared.subprocess_env(),
-    )
+    r = run_cli("verify-eta", "--eta", "parity", "--family", "special-b1", "--A", "2",
+                "--N", "200", warnings_as_errors=True)
     assert r.returncode == 0 and r.stderr == ""
     assert json.loads(r.stdout)["eta_minus_residual"] == 0
 
@@ -232,15 +231,36 @@ def test_an_overflowing_gauge_weight_is_one_json_error_without_warnings(command)
     # beta = -30 asks for exp(908) at the wall: evolve used to print three
     # RuntimeWarnings and blame the initial states, verify-eta to exit 0 with
     # every residual nan
-    r = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "etaqm.cli", *command,
-         "--family", "special-b1", "--A", "2", "--beta", "-30", "--N", "200"],
-        capture_output=True, text=True, timeout=300, env=shared.subprocess_env(),
-    )
+    r = run_cli(*command, "--family", "special-b1", "--A", "2", "--beta", "-30", "--N", "200",
+                warnings_as_errors=True)
     assert r.returncode == 2 and r.stdout == ""
     err = json.loads(r.stderr)  # the whole of stderr is one JSON object
     assert err["code"] == 2
     assert "beta=-30.0" in err["message"] and "max|int nu|=" in err["message"]
+
+
+@pytest.mark.parametrize("command", [("evolve",), ("verify-eta", "--eta", "multiplicative")])
+def test_an_underflowing_gauge_weight_is_one_json_error_without_warnings(command):
+    # beta = 30 asks for exp(-908) at the wall, which underflows to 0: evolve
+    # used to exit 0 with max_drift 3.8e6, verify-eta with residual 0.296
+    r = run_cli(*command, "--family", "special-b1", "--A", "2", "--beta", "30", "--N", "200",
+                warnings_as_errors=True)
+    assert r.returncode == 2 and r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["code"] == 2
+    assert "beta=30.0" in err["message"] and "max|int nu|=" in err["message"]
+
+
+@pytest.mark.parametrize("beta,flagged", [("10", True), ("0.5", False)])
+def test_evolve_flags_a_gauge_the_grid_cannot_resolve(capsys, beta, flagged):
+    # h = 32/201, max|tanh| ~ 1: beta h max|nu| is 1.59 at beta = 10 and 0.08
+    # at beta = 0.5.  Past 1 the neighbour couplings of H_beta change sign.
+    argv = ["evolve", "--family", "special-b1", "--A", "2", "--beta", beta, "--N", "200",
+            "--T", "0.1"]
+    assert cli.main(argv) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags == (["under-resolved-gauge"] if flagged else [])
+
 
 def test_importing_the_cli_loads_no_scipy_sparse():
     code = ("import sys, etaqm.cli; "
@@ -398,7 +418,7 @@ def test_special_b1_allows_the_half_integer_a_that_scarf2_rejects(capsys):
 def test_levels_rejects_missing_family_flags_like_spectrum(capsys, family):
     errors = []
     for command in ("levels", "spectrum"):
-        assert cli.main([command, "--family", *family, "--N", "50"]) == 2
+        assert cli.main([command, "--family", *family]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         errors.append(json.loads(captured.err))
@@ -423,3 +443,74 @@ def test_every_float_flag_must_be_finite(capsys, flag, argv, value):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["code"] == 2 and err["message"] == f"flag {flag} must be finite, got {value}"
+
+
+_GRID = ["--L", "--N", "--accuracy"]
+_POTENTIAL = ["--family", "--A", "--B", "--d", "--k", "--V"]
+_GAUGE = ["--beta", "--nu"]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("spectrum", _GRID + _POTENTIAL + _GAUGE + ["--out"]),
+    ("verify-eta", _GRID + _POTENTIAL + _GAUGE
+     + ["--out", "--eta", "--g", "--a", "--gamma", "--delta", "--factor-r"]),
+    ("sweep", _GRID + ["--A", "--B", "--k", "--out", "--axis", "--start", "--stop", "--step",
+                       "--V1", "--tol", "--jobs"]),
+    ("evolve", _GRID + _POTENTIAL + _GAUGE
+     + ["--out", "--T", "--dt", "--weight", "--state-index", "--gauss-x0", "--gauss-sigma",
+        "--gauss-k"]),
+    ("levels", ["--family", "--A", "--B", "--d", "--k", "--out"]),
+])
+def test_each_subcommand_registers_only_the_flags_it_reads(command, flags):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    registered = [s for a in sub.choices[command]._actions if a.dest != "help"
+                  for s in a.option_strings]
+    assert sorted(registered) == sorted(flags)
+
+
+_SWEEP = ["sweep", "--axis", "V2", "--start", "2", "--stop", "2", "--step", "1", "--N", "40"]
+_LEVELS = ["levels", "--family", "scarf2", "--A", "2", "--B", "1"]
+
+
+_DROPPED_OR_ABBREVIATED = [
+    (_SWEEP, ["--family", "scarf2"]),
+    (_SWEEP, ["--d", "2"]),
+    (_SWEEP, ["--V=0"]),  # once the abbreviation of --V1
+    (_SWEEP, ["--beta", "0.5"]),
+    (_SWEEP, ["--nu", "x^2"]),  # not odd: spectrum rejects it, sweep used to ignore it
+    (_LEVELS, ["--L", "8"]),
+    (_LEVELS, ["--N", "50"]),
+    (_LEVELS, ["--accuracy", "4"]),
+    (_LEVELS, ["--V", "0"]),
+    (_LEVELS, ["--beta", "0.5"]),
+    (_LEVELS, ["--nu", "tanh(x)"]),
+    (["spectrum", "--V", "0", "--L", "8", "--N", "50"], ["--acc", "4"]),
+    (["verify-eta", "--eta", "parity", "--V", "0", "--N", "40"], ["--del", "0.25"]),
+    (_SWEEP, ["--jo", "1"]),
+    (["evolve", "--V", "0", "--N", "40", "--T", "0.01"], ["--gauss-x", "0.5"]),
+    (["levels", "--A", "2", "--B", "1"], ["--fam", "scarf2"]),
+]
+
+
+@pytest.mark.parametrize("argv,extra", _DROPPED_OR_ABBREVIATED,
+                         ids=[f"{argv[0]}{extra[0].split('=')[0]}"
+                              for argv, extra in _DROPPED_OR_ABBREVIATED])
+def test_a_dropped_flag_or_an_abbreviation_is_a_config_error(capsys, argv, extra):
+    # 11 flags that sweep and levels no longer take, then one abbreviation
+    # per subcommand, which prefix matching used to expand to a flag it takes
+    assert cli.main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # the whole of stderr is one JSON object
+    assert err == {"code": 2, "message": "unrecognized arguments: " + " ".join(extra),
+                   "context": {}}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_rejects_fewer_than_one_job(capsys, jobs):
+    assert cli.main(_SWEEP + ["--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["code"] == 2 and f"--jobs must be at least 1, got {jobs}" == err["message"]

@@ -77,17 +77,42 @@ def test_domain_error_names_subterm():
     assert "ln" in exc.value.subterm
 
 
-def test_vectorized_matches_scalar():
+def test_vectorized_matches_closed_forms():
     e = parse("exp(i*x)*sech(x) - tanh(x)^3/(2 + cos(x))")
     xs = np.linspace(-5, 5, 101)
     vec = evaluate_on(e, xs)
     for j in (0, 17, 50, 100):
-        assert vec[j] == pytest.approx(evaluate(e, xs[j]), rel=1e-14)
+        x = xs[j]
+        want = cmath.exp(1j * x) / cmath.cosh(x) - cmath.tanh(x) ** 3 / (2 + cmath.cos(x))
+        assert vec[j] == pytest.approx(want, rel=1e-14)
+        assert evaluate(e, x) == vec[j]  # the one-point case of the same path
+
+
+def test_an_overflowing_intermediate_with_a_finite_result_is_not_an_error():
+    e = parse("1/exp(x)")
+    assert evaluate(e, 1000.0) == 0
+    np.testing.assert_array_equal(evaluate_on(e, np.array([0.0, 999.0, 1000.0])), [1, 0, 0])
+
+
+@pytest.mark.parametrize("src,x,subterm", [
+    ("ln(x - 1)", 1.0, "ln(x - 1.0)"),
+    ("1/x", 0.0, "1.0 / x"),
+    ("x^(-2)", 0.0, "x^(-2)"),
+    ("exp(x)", 1000.0, "exp(x)"),
+    ("tanh(x) + 2*exp(x)", 1000.0, "exp(x)"),  # the innermost non-finite subterm
+])
+def test_domain_error_names_the_innermost_non_finite_subterm(src, x, subterm):
+    for evaluated in (lambda e: evaluate(e, x), lambda e: evaluate_on(e, np.array([-1.5, x]))):
+        with pytest.raises(DomainError, match=f"at x={x}") as exc:
+            evaluated(parse(src))
+        assert exc.value.subterm == subterm
 
 
 def test_vectorized_domain_error():
     with pytest.raises(DomainError):
         evaluate_on(parse("1/x"), np.linspace(-1, 1, 21))  # hits x = 0
+    with pytest.raises(DomainError, match="'1.0 / x'"):
+        evaluate_on(parse("1/x"), 0.0)  # a 0-d array of points
 
 
 def test_derive_examples():

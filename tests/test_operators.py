@@ -144,6 +144,15 @@ def test_an_overflowing_gauge_weight_raises_naming_beta_and_the_antiderivative()
             q.build_eta(g, q.MultiplicativeEta(-30.0, TANH))
     assert np.all(np.isfinite(ops.gauge_weight(g, -20.0, TANH)))  # exp(606) is still finite
 
+
+def test_an_underflowing_gauge_weight_raises_naming_beta_and_the_antiderivative():
+    # beta = 30 asks for exp(-908) at the wall, which underflows to 0
+    g = shared.grid(200)
+    with np.errstate(all="raise"):
+        with pytest.raises(ParameterError, match=r"beta=30\.0, max\|int nu\|=15\.14"):
+            ops.gauge_weight(g, 30.0, TANH)
+        assert np.all(ops.gauge_weight(g, 20.0, TANH) > 0)  # exp(-606) is a normal float
+
 def test_parity_squares_to_identity():
     g = q.make_grid(3.0, 24)
     P = q.build_eta(g, q.ParityEta()).toarray()
