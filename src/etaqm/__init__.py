@@ -3,10 +3,12 @@
 Builds discretized non-Hermitian Hamiltonians as sparse matrices (the
 complex Scarf II potential and custom expressions, with optional imaginary
 gauge coupling) and the metric operators that intertwine them with their
-adjoints.  Spectra come from one dense `scipy.linalg.eig` call, on a real
-fold of PT-symmetric H (on the complex H otherwise), or from certified
-sparse shift-invert for the Re < 0 levels, and are classified into real
-levels and conjugate pairs against analytic levels.  Crank-Nicolson
+adjoints.  The full spectrum of a tridiagonal (accuracy-2) H comes from
+certified O(N^2) Ehrlich-Aberth iteration on its characteristic polynomial,
+of any other H from one dense `scipy.linalg.eig` call, on a real fold of
+PT-symmetric H (on the complex H otherwise); the Re < 0 levels come from
+certified sparse shift-invert.  Spectra are classified into real levels and
+conjugate pairs against analytic levels.  Crank-Nicolson
 evolution checks the generalized conservation law and eta-orthogonality,
 and records the per-step flux form of the continuity law, which the
 implicit midpoint rule keeps to rounding when the weight symmetrizes H.

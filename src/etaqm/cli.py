@@ -151,10 +151,21 @@ def potential_from_args(args) -> operators.PotentialSpec:
 
 
 def gauge_from_args(args) -> operators.GaugeSpec | None:
-    if args.beta == 0.0:
+    """The gauge, or None at beta = 0 without --nu.  A given --nu is parsed
+    also at beta = 0, and `build_hamiltonian` then checks it odd and real."""
+    if args.beta == 0.0 and args.nu is None:
         return None
     nu = parse_expression(args.nu or "tanh(x)", "gauge field")
     return operators.GaugeSpec(beta=args.beta, nu=nu)
+
+
+def gauge_flags(gauge: operators.GaugeSpec | None, grid) -> list[str]:
+    """["under-resolved-gauge"] when beta h max|nu| >= 1 on the grid, else []:
+    past 1 the neighbour couplings of H_beta change sign."""
+    if gauge is not None and abs(gauge.beta) * grid.h * np.max(
+            np.abs(expr.evaluate_on(gauge.nu, grid.points))) >= 1.0:
+        return ["under-resolved-gauge"]
+    return []
 
 
 def analytic_levels(args) -> models.LevelSet | None:
@@ -185,11 +196,12 @@ def levelset_json(levels: models.LevelSet) -> dict:
 def bound_filtered(potential, gauge, L: float, N: int, accuracy: int, full: bool = True):
     """The fine-grid (N) eigenvalues plus the two-grid (N/2 vs N) bound-state filter.
 
-    With `full` the fine report holds all N eigenvalues (dense `eig`);
-    otherwise only those with Re < 0, the filter's candidates.  The coarse
-    grid needs only Re < TOL_MOVE: a coarse level within TOL_MOVE of a
-    candidate has Re < TOL_MOVE, so every decision and kept movement is the
-    one the whole coarse spectrum would give.
+    With `full` the fine report holds all N eigenvalues (`eig`: Ehrlich-Aberth
+    on a tridiagonal H, else dense LAPACK); otherwise only those with Re < 0,
+    the filter's candidates.  The coarse grid needs only Re < TOL_MOVE: a
+    coarse level within TOL_MOVE of a candidate has Re < TOL_MOVE, so every
+    decision and kept movement is the one the whole coarse spectrum would
+    give.
     """
     g_fine = make_grid(L, N)
     g_coarse = make_grid(L, N // 2)
@@ -230,6 +242,8 @@ def cmd_spectrum(args) -> int:
             else:
                 devs.append(float("inf"))
         out["deviation"] = devs
+    # the coarse grid of the two-grid filter has the larger h
+    out["flags"] = gauge_flags(gauge, make_grid(args.L, args.N // 2))
     out["diagnostics"] = {"solver": report.solver}
     emit_report(dump_json(out) + "\n", args.out)
     return EXIT_OK
@@ -282,6 +296,7 @@ def cmd_verify_eta(args) -> int:
         "anti_hermitian_defect": anti,
         "eta_plus_residual": float(operators.intertwining_residual(plus, H, probes).max()),
         "eta_minus_residual": float(operators.intertwining_residual(minus, H, probes).max()),
+        "flags": gauge_flags(gauge, grid),
     }
     if args.eta == "second-order" and args.factor_r:
         rep = operators.verify_factorization(
@@ -409,15 +424,13 @@ def cmd_evolve(args) -> int:
                        f"got {args.state_index}", {"state_index": args.state_index, "N": grid.N})
     H = operators.build_hamiltonian(grid, potential, gauge, args.accuracy)
 
-    flags = []
-    if gauge is not None and abs(gauge.beta) * grid.h * np.max(
-            np.abs(expr.evaluate_on(gauge.nu, grid.points))) >= 1.0:
-        flags.append("under-resolved-gauge")  # the off-diagonals of H change sign
-    if args.weight == "gauge" and gauge is not None:
+    flags = gauge_flags(gauge, grid)
+    gauged = gauge is not None and gauge.beta != 0.0
+    if args.weight == "gauge" and gauged:
         w = operators.gauge_weight(grid, gauge.beta, gauge.nu)
     else:
         w = np.ones(grid.N)
-        if gauge is not None:
+        if gauged:
             flags.append("mismatched-metric")
     if not operators.is_pt_symmetric(grid, potential):
         flags.append("non-pt-potential")  # the conservation law assumes PT-symmetric V

@@ -16,8 +16,8 @@ differential operator D1 + i g(x), and a second-order Hermitian operator
 D2 - 2 i a(x) D1 + b(x) with b = -V + i a' - 2 a^2 - delta.
 
 Every operator is local, so each is built as a sparse (CSR) banded matrix;
-only `eigen.eig` makes a dense copy.  The residual checks accept dense or
-sparse operands.
+only the dense LAPACK path of `eigen.eig` makes a dense copy.  The residual
+checks accept dense or sparse operands.
 
 Intertwining (eta H = H^dagger eta) is verified on Gaussian probe states,
 not entrywise: differential operators truncated to a Dirichlet box carry

@@ -12,6 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 import etaqm as q
 from etaqm import eigen, expr
@@ -64,6 +65,14 @@ def hamiltonian(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
 def eig_values(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
                accuracy: int = 2) -> np.ndarray:
     return eigen.eig(hamiltonian(kind, p1, p2, N, beta, accuracy)).eigenvalues
+
+
+def dense_eigvals(H) -> np.ndarray:
+    """The values that the dense LAPACK path of `eig` returns for a CSR H:
+    those of the real fold when H is PT-symmetric, else of H, sorted by (Re, Im)."""
+    R = eigen._pt_fold(H)[1]
+    vals = scipy.linalg.eigvals((H if R is None else R).toarray())
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 @lru_cache(maxsize=None)

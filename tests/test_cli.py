@@ -146,9 +146,11 @@ def test_spectrum_byte_identical_reruns(tmp_path):
     ("-2*sech(x)^2 + 0.5*i*sech(x)^2", "complex"),
 ])
 def test_spectrum_reports_the_solver(V, solver):
-    r = run_cli("spectrum", f"--V={V}", "--L", "10", "--N", "120")
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["diagnostics"] == {"solver": solver}
+    # the tridiagonal accuracy-2 H runs Ehrlich-Aberth; accuracy 4 the dense solver
+    for accuracy, expected in (("2", "aberth"), ("4", solver)):
+        r = run_cli("spectrum", f"--V={V}", "--L", "10", "--N", "120", "--accuracy", accuracy)
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["diagnostics"] == {"solver": expected}
 
 
 def test_evolve_state_index_on_a_conjugate_pair_is_deterministic(tmp_path):
@@ -260,6 +262,60 @@ def test_evolve_flags_a_gauge_the_grid_cannot_resolve(capsys, beta, flagged):
     assert cli.main(argv) == 0
     flags = json.loads(capsys.readouterr().out)["flags"]
     assert flags == (["under-resolved-gauge"] if flagged else [])
+
+
+@pytest.mark.parametrize("beta,flagged", [("30", True), ("0.5", False)])
+def test_spectrum_flags_a_gauge_the_grid_cannot_resolve(capsys, beta, flagged):
+    # the coarse grid (N/2 = 200) has h = 32/201: beta h max|nu| is 4.8 at
+    # beta = 30 and 0.08 at beta = 0.5
+    argv = ["spectrum", "--family", "special-b1", "--A", "2", "--beta", beta, "--N", "400"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["flags"] == (["under-resolved-gauge"] if flagged else [])
+    # an unresolved gauge fails the Aberth certificate, and the dense result stands
+    H = shared.hamiltonian("special-b1", 2.0, 0.0, 400, float(beta))
+    dense = shared.dense_eigvals(H)
+    got = np.array([complex(*v) for v in out["eigenvalues"]])
+    if flagged:
+        assert out["diagnostics"] == {"solver": "real-pt"}
+        np.testing.assert_array_equal(got, dense)
+    else:
+        assert out["diagnostics"] == {"solver": "aberth"}
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("beta,flagged", [("10", True), ("0.5", False)])
+def test_verify_eta_flags_a_gauge_the_grid_cannot_resolve(capsys, beta, flagged):
+    argv = ["verify-eta", "--eta", "parity", "--family", "special-b1", "--A", "2",
+            "--beta", beta, "--N", "200"]
+    assert cli.main(argv) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags == (["under-resolved-gauge"] if flagged else [])
+
+
+@pytest.mark.parametrize("command", [
+    ("spectrum",),
+    ("verify-eta", "--eta", "parity"),
+    ("evolve", "--T", "0.01"),
+], ids=["spectrum", "verify-eta", "evolve"])
+@pytest.mark.parametrize("nu", ["sin(", "cosh(x)"])
+def test_a_bad_nu_is_a_config_error_also_at_beta_zero(command, nu):
+    # a gauge field that does not parse, or is not odd; beta stays at 0
+    r = run_cli(*command, "--family", "scarf2", "--A", "2", "--B", "1", "--N", "40",
+                f"--nu={nu}", warnings_as_errors=True)
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr)["code"] == 2
+
+
+def test_a_valid_nu_at_beta_zero_changes_nothing(capsys):
+    argv = ["evolve", "--family", "scarf2", "--A", "2", "--B", "1", "--N", "40", "--T", "0.01",
+            "--weight", "unit"]
+    outputs = []
+    for extra in ([], ["--nu", "tanh(x)"]):
+        assert cli.main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["flags"] == []
 
 
 def test_importing_the_cli_loads_no_scipy_sparse():

@@ -1,11 +1,13 @@
 """Eigensolver contract and spectrum classification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import conftest as shared
@@ -111,7 +113,8 @@ def test_real_pt_path_matches_complex_eigvals(N, seed, kinetic):
     ref = scipy.linalg.eigvals(M)
     for want_vectors in (False, True):
         rep = eigen.eig(sp.csr_array(M), want_vectors=want_vectors)
-        assert rep.solver == "real-pt"
+        tridiagonal_values = kinetic == "tridiagonal" and not want_vectors
+        assert rep.solver == ("aberth" if tridiagonal_values else "real-pt")
         vals = rep.eigenvalues
         dist = np.abs(vals[:, None] - ref[None, :])
         rows, cols = scipy.optimize.linear_sum_assignment(dist)
@@ -131,8 +134,9 @@ def test_real_pt_path_matches_complex_eigvals(N, seed, kinetic):
 
 
 def test_non_pt_input_takes_the_unchanged_complex_path():
-    # V = -2 sech^2 x + 0.5 i sech^2 x: V(-x) != conj V(x)
-    H = shared.hamiltonian("non-pt", 0.0, 0.0, 200)
+    # V = -2 sech^2 x + 0.5 i sech^2 x: V(-x) != conj V(x); accuracy 4, so
+    # the values-only request is not tridiagonal either
+    H = shared.hamiltonian("non-pt", 0.0, 0.0, 200, 0.0, 4)
     rep = eigen.eig(H)
     assert rep.solver == "complex"
     vals = scipy.linalg.eigvals(H.toarray())
@@ -142,6 +146,133 @@ def test_non_pt_input_takes_the_unchanged_complex_path():
     order = np.lexsort((vals.imag, vals.real))
     np.testing.assert_array_equal(rep.eigenvalues, vals[order])
     np.testing.assert_array_equal(rep.vectors, vecs[:, order])
+
+
+def _random_tridiagonal(N, seed, pt, gauged, diag_scale, off_scale):
+    """diag_scale diag(d + V) plus off_scale times a real symmetric
+    off-diagonal o, with d real and V complex; under `pt` d and o are
+    parity-even and V[::-1] == conj V.  With `gauged` a real g is added above
+    the diagonal and subtracted below it (g odd under `pt`), so the two
+    off-diagonals differ."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=N)
+    o = rng.normal(size=N - 1)
+    V = rng.normal(size=N) + 1j * rng.normal(size=N)
+    g = rng.normal(size=N - 1) if gauged else np.zeros(N - 1)
+    if pt:
+        d, o, g = d + d[::-1], o + o[::-1], g - g[::-1]
+        V = 0.5 * (V + np.conj(V[::-1]))
+    return (diag_scale * np.diag(d + V)
+            + off_scale * (np.diag(o + g, 1) + np.diag(o - g, -1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.integers(3, 300),
+    seed=st.integers(0, 2**32 - 1),
+    pt=st.booleans(),
+    gauged=st.booleans(),
+    log_scales=st.tuples(st.floats(-2.0, 4.0), st.floats(-2.0, 4.0)),
+)
+def test_aberth_values_match_dense_eig_within_the_condition_bound(N, seed, pt, gauged,
+                                                                 log_scales):
+    M = _random_tridiagonal(N, seed, pt, gauged, *(10.0 ** u for u in log_scales))
+    H = sp.csr_array(M)
+    assert (eigen._pt_fold(H)[1] is not None) == pt
+    vals = eigen._aberth_tridiagonal(*eigen._tridiagonal(H), pt=pt)
+    rep = eigen.eig(H)
+    event(rep.solver)
+    if vals is None:  # the certificate failed: the dense solver's result
+        assert rep.solver == ("real-pt" if pt else "complex")
+        return
+    assert rep.solver == "aberth"
+    np.testing.assert_array_equal(rep.eigenvalues, vals)
+    w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
+    kappa = (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
+             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    dist = np.abs(vals[:, None] - w[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    bound = 64 * N * np.finfo(float).eps * np.linalg.norm(M) * kappa[cols]
+    assert np.all(dist[rows, cols] <= bound)
+    assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(N))
+    if pt:  # real levels exactly real, pairs exact conjugates listed -Im first
+        for i in np.flatnonzero(vals.imag < 0):
+            assert vals[i + 1] == np.conj(vals[i])
+        assert np.count_nonzero(vals.imag > 0) == np.count_nonzero(vals.imag < 0)
+
+
+@pytest.mark.parametrize("kind,p2,beta", [
+    ("scarf2", 1.0, 0.0),
+    ("scarf2-raw", 3.0, 0.0),
+    ("first-order", 0.0, 0.0),
+    ("special-b1", 0.0, shared.GAUGE_BETA),
+    ("non-pt", 0.0, 0.0),
+])
+def test_aberth_certifies_the_accuracy_2_hamiltonians(kind, p2, beta):
+    H = shared.hamiltonian(kind, 2.0 if kind != "first-order" else 2.5, p2, 400, beta)
+    rep = eigen.eig(H)
+    assert rep.solver == "aberth"
+    ref = scipy.linalg.eigvals(H.toarray())
+    dist = np.abs(rep.eigenvalues[:, None] - ref[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    assert np.all(dist[rows, cols] <= 1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind,solver", [("scarf2", "real-pt"), ("non-pt", "complex")])
+def test_a_failed_certificate_returns_the_dense_result_bit_for_bit(monkeypatch, kind, solver):
+    H = shared.hamiltonian(kind, 2.0, 1.0, 200)
+    monkeypatch.setattr(eigen, "_ABERTH_MAX_ITER", 1)
+    rep = eigen.eig(H)
+    assert rep.solver == solver
+    np.testing.assert_array_equal(rep.eigenvalues, shared.dense_eigvals(H))
+
+
+def test_an_iterate_retired_off_a_root_fails_the_trace_certificate(monkeypatch):
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, 200)
+    tri = eigen._tridiagonal(H)
+    assert eigen._aberth_tridiagonal(*tri, pt=True) is not None
+    newton = eigen._newton_corrections
+
+    def freeze_first(z, *args):  # iterate 0 stays at its start point
+        out = newton(z, *args)
+        if len(z) == H.shape[0]:
+            out[0] = 0.0
+        return out
+
+    monkeypatch.setattr(eigen, "_newton_corrections", freeze_first)
+    assert eigen._aberth_tridiagonal(*tri, pt=False) is None  # no pairing check runs
+    assert eigen.eig(H).solver == "real-pt"
+
+
+def test_roots_without_conjugates_fail_the_pt_certificate():
+    # the non-PT H passes every other check; its roots are not conjugate-symmetric
+    tri = eigen._tridiagonal(shared.hamiltonian("non-pt", 0.0, 0.0, 200))
+    assert eigen._aberth_tridiagonal(*tri, pt=False) is not None
+    assert eigen._aberth_tridiagonal(*tri, pt=True) is None
+
+
+def test_vector_requests_on_a_tridiagonal_h_run_the_dense_solver_unchanged():
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, 200)
+    rep = eigen.eig(H, want_vectors=True)
+    assert rep.solver == "real-pt"
+    S, R = eigen._pt_fold(H)
+    vals, Y = scipy.linalg.eig(R.toarray())
+    order = np.lexsort((vals.imag, vals.real))
+    np.testing.assert_array_equal(rep.eigenvalues, vals[order])
+    np.testing.assert_array_equal(rep.vectors, S @ Y[:, order])
+
+
+def test_aberth_never_allocates_an_n_by_n_array():
+    N = 1600
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, N)
+    tracemalloc.start()
+    try:
+        rep = eigen.eig(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.solver == "aberth"
+    assert peak < N * N * 8 / 4  # a quarter of one float64 N x N array
 
 
 def test_eigenvalue_sum_matches_trace():
@@ -244,10 +375,11 @@ def test_eig_rejects_non_square():
 
 
 def test_exact_conjugate_pair_lists_minus_im_first():
-    rep = eigen.eig(shared.hamiltonian("scarf2-raw", 2.0, 3.0, 200, 0.5))
-    assert rep.solver == "real-pt"
-    low = rep.eigenvalues[:2]
-    assert low[0].imag < -0.1 and low[1] == np.conj(low[0])
+    for accuracy, solver in ((2, "aberth"), (4, "real-pt")):
+        rep = eigen.eig(shared.hamiltonian("scarf2-raw", 2.0, 3.0, 200, 0.5, accuracy))
+        assert rep.solver == solver
+        low = rep.eigenvalues[:2]
+        assert low[0].imag < -0.1 and low[1] == np.conj(low[0])
 
 
 def test_reality_beyond_threshold_produces_pair():
@@ -299,7 +431,7 @@ def test_eig_below_matches_dense_below_the_cut(N, seed, kinetic, spread, j):
     dense = eigen.eig(M)
     top = _top_between_levels(dense.eigenvalues, j)
     rep = eigen.eig_below(M, top)
-    assert rep.solver in ("shift-invert", "real-pt")
+    assert rep.solver in ("shift-invert", "aberth" if kinetic == "tridiagonal" else "real-pt")
     _assert_matches_dense_below(rep, dense, top)
     vals = rep.eigenvalues
     # real levels are exactly real; a pair is exact conjugates, -Im first
@@ -350,13 +482,14 @@ def test_eig_below_runs_shift_invert_on_the_gauged_accuracy_4_grid():
 
 
 def test_eig_below_falls_back_to_dense_when_k_would_pass_n_over_k_fraction():
-    # below n = _K_FRACTION * _K_START ARPACK is never asked: the dense solver runs
+    # below n = _K_FRACTION * _K_START ARPACK is never asked: `eig` runs
     N = 96
     assert N < eigen._K_FRACTION * eigen._K_START
-    H = shared.hamiltonian("scarf2", 2.0, 1.0, N)
-    rep = eigen.eig_below(H, 1e-3)
-    assert rep.solver == "real-pt"
-    _assert_matches_dense_below(rep, eigen.eig(H), 1e-3)
+    for accuracy, solver in ((2, "aberth"), (4, "real-pt")):
+        H = shared.hamiltonian("scarf2", 2.0, 1.0, N, 0.0, accuracy)
+        rep = eigen.eig_below(H, 1e-3)
+        assert rep.solver == solver
+        _assert_matches_dense_below(rep, eigen.eig(H), 1e-3)
 
 
 def test_eig_below_with_a_cut_below_the_numerical_range_is_empty():
