@@ -13,8 +13,9 @@ the one the dynamics actually preserves.
 
 Beside each drift stands the largest defect of the per-step continuity law
 dP/dt = sum of bond fluxes.  It is the asymmetry of W H: small for the gauge
-weight (the grid H_beta is symmetrized by w only up to its discretization
-error), large for the unit weight, and rounding for the Hermitian well.
+weight (sech x differs from the exact metric exp(-2 beta F) of the grid
+H_beta = G H G^-1 by the O(h^4) error of the grid antiderivative F), large
+for the unit weight, and rounding for the Hermitian well.
 """
 
 import numpy as np

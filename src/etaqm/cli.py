@@ -160,8 +160,12 @@ def gauge_from_args(args) -> operators.GaugeSpec | None:
 
 
 def gauge_flags(gauge: operators.GaugeSpec | None, grid) -> list[str]:
-    """["under-resolved-gauge"] when beta h max|nu| >= 1 on the grid, else []:
-    past 1 the neighbour couplings of H_beta change sign."""
+    """["under-resolved-gauge"] when beta h max|nu| >= 1 on the grid, else [].
+
+    H_beta = G H G^-1 has H's eigenvalues for every beta, but a strong gauge
+    makes the span of G, exp(beta (max F - min F)), so large that the dense
+    accuracy-4 solve of H_beta loses levels to rounding.  The threshold is
+    a rough mark: on a long box a weaker gauge can lose levels too."""
     if gauge is not None and abs(gauge.beta) * grid.h * np.max(
             np.abs(expr.evaluate_on(gauge.nu, grid.points))) >= 1.0:
         return ["under-resolved-gauge"]
@@ -261,7 +265,7 @@ def eta_from_args(args, potential) -> operators.EtaSpec:
         return operators.ParityEta()
     if kind == "multiplicative":
         nu = parse_expression(args.nu or "tanh(x)", "gauge field")
-        return operators.MultiplicativeEta(beta=args.beta or 0.0, nu=nu)
+        return operators.MultiplicativeEta(beta=args.beta or 0.0, nu=nu, V=potential)
     if kind == "first-order":
         if not args.g:
             raise CliError(EXIT_CONFIG, "first-order eta needs --g")

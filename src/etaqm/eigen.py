@@ -448,31 +448,39 @@ def classify_spectrum(eigs: np.ndarray, tol: float) -> tuple[list[str], dict[int
     """Tag eigenvalues as real / pair-member / unpaired.
 
     lambda is real when |Im lambda| <= tol (1 + |lambda|); the rest are
-    greedily matched to their nearest conjugate within the same tolerance.
+    greedily matched to their nearest conjugate: a pair i < j is a candidate
+    when |lambda_i - conj lambda_j| <= tol (1 + |lambda_i|), and candidates
+    are taken by (distance, i, j).  Since |Re lambda_i - Re lambda_j| is at
+    most that distance, the candidates of i lie in an Re window around Re
+    lambda_i, found by binary search over the values sorted by Re.
     """
     if not tol > 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     eigs = np.asarray(eigs, dtype=complex)
-    n = len(eigs)
-    tags = ["unpaired"] * n
     scale = 1.0 + np.abs(eigs)
-    for i in range(n):
-        if abs(eigs[i].imag) <= tol * scale[i]:
-            tags[i] = "real"
+    real = np.abs(eigs.imag) <= tol * scale
+    tags = np.where(real, "real", "unpaired").tolist()
+
+    by_re = np.flatnonzero(~real)
+    by_re = by_re[np.argsort(eigs.real[by_re], kind="stable")]
+    re, reach = eigs.real[by_re], 2.0 * tol * scale[by_re]  # 2x: room for rounding
+    lo = np.searchsorted(re, re - reach, side="left")
+    count = np.searchsorted(re, re + reach, side="right") - lo
+    first = np.repeat(np.arange(len(by_re)), count)
+    second = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    i, j = by_re[first], by_re[second]
+    i, j = i[i < j], j[i < j]
+    d = np.abs(eigs[i] - np.conj(eigs[j]))
+    near = d <= tol * scale[i]
+    i, j, d = i[near], j[near], d[near]
+
     pairing: dict[int, int] = {}
-    open_idx = [i for i in range(n) if tags[i] == "unpaired"]
-    # greedy nearest-conjugate matching; ties resolved by minimal distance
-    candidates = []
-    for ii, i in enumerate(open_idx):
-        for j in open_idx[ii + 1:]:
-            d = abs(eigs[i] - np.conj(eigs[j]))
-            if d <= tol * scale[i]:
-                candidates.append((d, i, j))
-    for _, i, j in sorted(candidates, key=lambda t: (t[0], t[1], t[2])):
-        if tags[i] == "unpaired" and tags[j] == "unpaired":
-            tags[i] = tags[j] = "pair-member"
-            pairing[i] = j
-            pairing[j] = i
+    for k in np.lexsort((j, i, d)):
+        a, b = int(i[k]), int(j[k])
+        if tags[a] == "unpaired" and tags[b] == "unpaired":
+            tags[a] = tags[b] = "pair-member"
+            pairing[a] = b
+            pairing[b] = a
     return tags, pairing
 
 

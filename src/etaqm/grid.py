@@ -93,8 +93,8 @@ def diff_matrix(grid: Grid, order: int, accuracy: int = 2):
     The bandwidth is 1 at accuracy 2 (no stencil reaches a ghost) and 2 at
     accuracy 4, where D1 gains the diagonal entries -+1/(12h) at rows 0, N-1.
     4th order needs psi'' = 0 at the wall: true for eigenstates of p^2 + V
-    (psi'' = (V - E) psi), but the gauged H has psi'' = 2 beta nu psi' there,
-    so a level whose tail reaches the wall converges at 2nd order.
+    (psi'' = (V - E) psi), and so for the gauged H, whose eigenvectors are
+    G times those of p^2 + V.
     """
     import scipy.sparse as sp
 

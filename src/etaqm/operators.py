@@ -3,15 +3,19 @@
 Hamiltonians (hbar = 2m = 1, p = -i d/dx):
 
     H      = -D2 + diag(V)
-    H_beta = -D2 + 2 beta diag(nu) D1 + diag(beta nu' - beta^2 nu^2 + V)
+    H_beta = G H G^-1,  G = diag(exp(beta F)),  F(x) = int_0^x nu
 
-The gauged form is the expansion of [p + i beta nu(x)]^2 + V(x); nu must be
-real and odd.  V is either the closed-form complex Scarf II potential
+The gauged form is [p + i beta nu(x)]^2 + V(x) through the identity
+p + i beta nu = e^{beta F} p e^{-beta F}: each stored entry of H is scaled
+by exp(beta (F_i - F_j)), so H_beta has H's eigenvalues and, for a
+PT-symmetric V, the metric P exp(-2 beta F), both to rounding (the lattice
+imaginary gauge transformation of Hatano & Nelson, PRL 77, 570 (1996)).
+nu must be real and odd.  V is either the closed-form complex Scarf II potential
 V = -V1 sech^2 x + k - i V2 sech x tanh x (`ScarfII`, of which every named
 family in `models` is a point) or an expression (`CustomPotential`).
 
-Metric operators come in four families: the identity, parity, a
-multiplicative gauge weight exp[-2 beta int_0^x nu], a first-order
+Metric operators come in five families: the identity, parity, the gauge
+metric P exp(-2 beta F) (the weight alone for a real V), a first-order
 differential operator D1 + i g(x), and a second-order Hermitian operator
 D2 - 2 i a(x) D1 + b(x) with b = -V + i a' - 2 a^2 - delta.
 
@@ -104,8 +108,12 @@ class ParityEta:
 
 @dataclass(frozen=True)
 class MultiplicativeEta:
+    """eta = P W for a V with a nonzero imaginary part on the grid, else W,
+    with W = diag(exp(-2 beta int_0^x nu)), the metric of the gauged H."""
+
     beta: float
     nu: Expr
+    V: PotentialSpec
 
 
 @dataclass(frozen=True)
@@ -165,8 +173,8 @@ def potential_on_grid(grid: Grid, spec: PotentialSpec) -> np.ndarray:
 def is_pt_symmetric(grid: Grid, spec: PotentialSpec) -> bool:
     """V(-x) == conj V(x) on the mirror-exact grid, to 1e-10 (1 + |V|).
 
-    This is the hypothesis of the generalized continuity law; the gauge term
-    of H_beta is PT-even by itself because nu is real and odd.
+    This is the hypothesis of the generalized continuity law; the gauge
+    factor G of H_beta commutes with PT because F is real and even.
     """
     Vx = potential_on_grid(grid, spec)
     return bool(np.all(np.abs(Vx[::-1] - np.conj(Vx)) <= _SYMMETRY_TOL * (1.0 + np.abs(Vx))))
@@ -190,36 +198,33 @@ def build_hamiltonian(
     gauge: GaugeSpec | None = None,
     accuracy: int = 2,
 ):
-    """CSR H = -D2 + diag(V), or the gauged H_beta when a GaugeSpec is given."""
-    D2 = diff_matrix(grid, 2, accuracy)
-    Vx = potential_on_grid(grid, V)
-    H = -D2 + _diag(Vx)
-    if gauge is not None and gauge.beta != 0.0:
-        b = gauge.beta
-        nu = _check_odd_real(grid, gauge.nu)
-        nup = expr.evaluate_on(expr.derive(gauge.nu), grid.points).real
-        D1 = diff_matrix(grid, 1, accuracy)
-        H = H + _diag(2.0 * b * nu) @ D1 + _diag(b * nup - b * b * nu * nu)
-    elif gauge is not None:
-        _check_odd_real(grid, gauge.nu)  # beta = 0: still validate the spec
+    """CSR H = -D2 + diag(V), or with a GaugeSpec H_beta = G H G^-1 for
+    G = diag(exp(beta F)), F = `gauge_antiderivative`: each stored entry
+    H[i, j] times exp(beta (F_i - F_j)), which stays finite for any beta
+    the grid can carry."""
+    H = -diff_matrix(grid, 2, accuracy) + _diag(potential_on_grid(grid, V))
+    if gauge is not None:
+        F = gauge_antiderivative(grid, gauge.nu)
+        rows = np.repeat(np.arange(grid.N), np.diff(H.indptr))
+        H.data *= np.exp(gauge.beta * (F[rows] - F[H.indices]))
     return H
 
 
 def gauge_antiderivative(grid: Grid, nu: Expr) -> np.ndarray:
-    """F(x_j) = int_0^{x_j} nu(y) dy by composite trapezoid cumulative sums.
+    """F(x_j) = int_0^{x_j} nu(y) dy by composite trapezoid cumulative sums
+    with the Euler-Maclaurin end correction -(h^2/12)(nu'(x_j) - nu'(0)).
 
-    The lower limit sits at x = 0; for even N the anchor is interpolated
-    between the two middle nodes at trapezoid accuracy.  For odd nu the
-    result is even and is symmetrized to make that exact in floating point.
+    F vanishes at the middle node: x = 0 for odd N, x = h/2 for even N,
+    where it drops int_0^{h/2} nu = O(h^2), a constant that cancels in every
+    difference F_i - F_j and scales the weight by 1 + O(h^2).  nu is
+    verified real and odd; F is then even and is symmetrized to make that
+    exact in floating point.
     """
     v = _check_odd_real(grid, nu)
-    seg = 0.5 * grid.h * (v[1:] + v[:-1])
-    G = np.concatenate([[0.0], np.cumsum(seg)])
-    if grid.N % 2 == 1:
-        G0 = G[(grid.N - 1) // 2]
-    else:
-        G0 = 0.5 * (G[grid.N // 2 - 1] + G[grid.N // 2])
-    F = G - G0
+    G = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (v[1:] + v[:-1]))])
+    dnu = expr.derive(nu)
+    end = expr.evaluate_on(dnu, grid.points).real - expr.evaluate(dnu, 0.0).real
+    F = G - G[grid.N // 2] - grid.h**2 / 12.0 * end
     return 0.5 * (F + F[::-1])
 
 
@@ -254,7 +259,8 @@ def build_eta(grid: Grid, spec: EtaSpec, accuracy: int = 2):
     if isinstance(spec, ParityEta):
         return parity_matrix(N)
     if isinstance(spec, MultiplicativeEta):
-        return _diag(gauge_weight(grid, spec.beta, spec.nu))
+        W = _diag(gauge_weight(grid, spec.beta, spec.nu))
+        return parity_matrix(N) @ W if np.any(potential_on_grid(grid, spec.V).imag) else W
     if isinstance(spec, FirstOrderEta):
         g = expr.evaluate_on(spec.g, grid.points)
         return diff_matrix(grid, 1, accuracy) + _diag(1j * g)

@@ -342,6 +342,58 @@ def test_classify_spectrum_pairs_drawn_conjugates_and_moves_tags_with_values(
     assert {perm[i]: perm[j] for i, j in pairing2.items()} == pairing
 
 
+def _classify_all_pairs(eigs, tol):
+    """The all-pairs loop that `classify_spectrum` windows by Re: the reference."""
+    n = len(eigs)
+    scale = 1.0 + np.abs(eigs)
+    tags = ["real" if abs(eigs[i].imag) <= tol * scale[i] else "unpaired" for i in range(n)]
+    open_idx = [i for i in range(n) if tags[i] == "unpaired"]
+    candidates = []
+    for ii, i in enumerate(open_idx):
+        for j in open_idx[ii + 1:]:
+            d = abs(eigs[i] - np.conj(eigs[j]))
+            if d <= tol * scale[i]:
+                candidates.append((d, i, j))
+    pairing = {}
+    for _, i, j in sorted(candidates):
+        if tags[i] == "unpaired" and tags[j] == "unpaired":
+            tags[i] = tags[j] = "pair-member"
+            pairing[i] = j
+            pairing[j] = i
+    return tags, pairing
+
+
+# multiples of tol (1 + |z|) for the offsets drawn below: inside, at and just
+# past the tolerance
+_NEAR_TOL = [0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lattice=st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=24),
+    loose=st.lists(st.complex_numbers(max_magnitude=10.0), max_size=6),
+    tol=st.sampled_from([1e-12, 1e-6, 1e-2, 0.3]),
+    data=st.data(),
+)
+def test_classify_spectrum_matches_the_all_pairs_loop(lattice, loose, tol, data):
+    # a coarse lattice gives repeated values and tied distances; each value
+    # may get its exact conjugate, or a conjugate (or an Im, for a real one)
+    # moved by a multiple of the tolerance near 1
+    vals = []
+    for a, b in lattice:
+        z = complex(a / 4, b / 2)
+        f = tol * (1 + abs(z)) * data.draw(st.sampled_from(_NEAR_TOL))
+        extra = data.draw(st.sampled_from(["none", "conj", "conj+re", "conj+im", "im"]))
+        vals.append(complex(z.real, f) if extra == "im" else z)
+        if extra.startswith("conj"):
+            vals.append(z.conjugate() + {"conj": 0, "conj+re": f, "conj+im": 1j * f}[extra])
+    vals = np.array(vals + loose, dtype=complex)
+    tags, pairing = eigen.classify_spectrum(vals, tol)
+    ref_tags, ref_pairing = _classify_all_pairs(vals, tol)
+    assert tags == ref_tags
+    assert list(pairing.items()) == list(ref_pairing.items())
+
+
 @pytest.mark.parametrize("kind,p1,p2", [
     ("scarf2", 2.0, 1.0),
     ("first-order", 2.5, 0.0),

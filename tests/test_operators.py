@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as shared
 import etaqm as q
@@ -60,14 +62,13 @@ def test_sparse_builders_repeat_the_dense_arithmetic():
     x, b = g.points, 0.7
     pot = q.scarf2_potential(2.0, 1.0)
     V = ops.potential_on_grid(g, pot)
-    nu = expr.evaluate_on(TANH, x).real
-    nup = expr.evaluate_on(expr.derive(TANH), x).real
+    F = ops.gauge_antiderivative(g, TANH)
     a_expr = expr.parse("-2.5*sech(x)")
     a = expr.evaluate_on(a_expr, x).real
     ap = expr.evaluate_on(expr.derive(a_expr), x).real
     for acc in (2, 4):
         D1, D2 = (q.diff_matrix(g, k, acc).toarray() for k in (1, 2))
-        Hb = -D2 + np.diag(V) + (2.0 * b * nu)[:, None] * D1 + np.diag(b * nup - b * b * nu * nu)
+        Hb = (-D2 + np.diag(V)) * np.exp(b * (F[:, None] - F[None, :]))
         H = q.build_hamiltonian(g, pot, q.GaugeSpec(b, TANH), acc)
         assert H.format == "csr"
         np.testing.assert_array_equal(H.toarray(), Hb)
@@ -85,23 +86,20 @@ def test_gauge_requires_odd_real_nu():
 
 
 def test_gauged_spectrum_equals_ungauged_spectrum():
-    # similarity under the diagonal gauge factor; checked at two resolutions
+    # H_beta = G H G^-1 on the grid itself: the levels agree to rounding at
+    # both resolutions (measured: 7e-14)
     targets = (-4.0, -1.0, -0.25)
-    diffs = []
     for N in (400, 800):
         e0 = shared.eig_values("special-b1", 2.0, 0.0, N)
         eb = shared.eig_values("special-b1", 2.0, 0.0, N, beta=shared.GAUGE_BETA)
-        diffs.append(max(
-            abs(e0[np.argmin(np.abs(e0 - t))] - eb[np.argmin(np.abs(eb - t))])
-            for t in targets
-        ))
-    assert diffs[1] <= 1e-3
-    assert diffs[0] / diffs[1] >= 2.5  # stencil-order convergence
+        gap = max(abs(e0[np.argmin(np.abs(e0 - t))] - eb[np.argmin(np.abs(eb - t))])
+                  for t in targets)
+        assert gap <= 1e-10
 
 
 def test_gauge_conjugation_identity():
-    # D^-1 H D ~ H_beta for D = diag(exp[-beta int_0^x nu]), at stencil order
-    resid = []
+    # D^-1 H D = H_beta for D = diag(exp[-beta int_0^x nu]), to rounding
+    # (measured: 6.9e-14 at N = 400, 2.6e-13 at N = 800)
     for N in (400, 800):
         g = shared.grid(N)
         H0 = shared.hamiltonian("special-b1", 2.0, 0.0, N)
@@ -114,9 +112,64 @@ def test_gauge_conjugation_identity():
             / np.linalg.norm(Hb @ w)
             for w in probes
         )
-        resid.append(worst)
-    assert resid[1] <= 5e-4
-    assert resid[0] / resid[1] >= 2.5
+        assert worst <= 1e-12
+
+
+_ODD_NU = {
+    "tanh(cx)": lambda c: expr.call("tanh", expr.mul(expr.const(c), expr.var())),
+    "x exp(-(cx)^2)": lambda c: expr.mul(expr.var(), expr.call(
+        "exp", expr.neg(expr.power(expr.mul(expr.const(c), expr.var()), 2)))),
+}
+
+# Over 400 random draws of the test below, the largest entry of the defect
+# was 1.9 eps (1 + |beta| max|F|) times its entry of eta H; the bound leaves
+# an 8x margin.  The factor holds the rounding of exp(-2 beta F).
+_GAUGE_METRIC_TOL = 16 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.floats(-3.0, 3.0),
+    nu=st.sampled_from(sorted(_ODD_NU)),
+    c=st.floats(0.2, 2.0),
+    L=st.floats(2.0, 16.0),
+    N=st.integers(5, 160),
+    accuracy=st.sampled_from([2, 4]),
+    V1=st.floats(0.0, 4.0),
+    V2=st.floats(-4.0, 4.0),
+    real=st.booleans(),
+)
+def test_the_gauged_h_is_pseudo_hermitian_under_its_metric_entry_by_entry(
+        beta, nu, c, L, N, accuracy, V1, V2, real):
+    # H_beta^dag (P w) = (P w) H_beta for a PT-symmetric V, and W H_beta =
+    # H_beta^dag W for a real one, with w = exp(-2 beta F) from the same F
+    g = q.make_grid(L, N)
+    nu = _ODD_NU[nu](c)
+    pot = ops.ScarfII(V1, 0.0 if real else V2)
+    H = q.build_hamiltonian(g, pot, q.GaugeSpec(beta, nu), accuracy)
+    eta = q.build_eta(g, q.MultiplicativeEta(beta, nu, pot), accuracy)
+    lhs, rhs = (ops.adjoint(H) @ eta).toarray(), (eta @ H).toarray()
+    F = ops.gauge_antiderivative(g, nu)
+    bound = _GAUGE_METRIC_TOL * (1.0 + abs(beta) * np.abs(F).max()) * np.abs(rhs)
+    assert np.all(np.abs(lhs - rhs) <= bound)
+
+
+def test_a_gauged_level_at_the_wall_converges_at_fourth_order():
+    # the level near -0.0191 of A = 1.146 reaches the wall of L = 16; the
+    # gauged eigenvectors are G times the ungauged ones, which meet the wall
+    # with psi'' = 0.  Errors against the ungauged N = 6400 level (measured:
+    # 2.7e-7, 1.7e-8, 1.1e-9; ratios 15.9 and 15.6)
+    pot = ops.ScarfII(*q.scarf2_strengths(1.146, 1.0))
+
+    def level(N, gauge):
+        H = q.build_hamiltonian(q.make_grid(16.0, N), pot, gauge, 4)
+        vals = eigen.eig_below(H, 0.0).eigenvalues
+        return vals[np.argmin(np.abs(vals + 0.0191))]
+
+    ref = level(6400, None)
+    err = [abs(level(N, q.GaugeSpec(shared.GAUGE_BETA, TANH)) - ref) for N in (400, 800, 1600)]
+    assert err[0] / err[1] >= 12
+    assert err[1] / err[2] >= 12
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +177,12 @@ def test_gauge_conjugation_identity():
 # ---------------------------------------------------------------------------
 
 def test_multiplicative_weight_matches_closed_form():
-    # int_0^x tanh = ln cosh, so the beta = 1/2 weight is sech x up to C h^2
+    # int_0^x tanh = ln cosh, so the beta = 1/2 weight is sech x up to C h^2;
+    # for a real V the metric is the weight itself
+    well = q.CustomPotential(expr.parse("-2*sech(x)^2"))
     for N in (400, 800):
         g = shared.grid(N)
-        w = np.diag(q.build_eta(g, q.MultiplicativeEta(0.5, TANH)).toarray()).real
+        w = np.diag(q.build_eta(g, q.MultiplicativeEta(0.5, TANH, well)).toarray()).real
         err = np.max(np.abs(w - 1 / np.cosh(g.points)))
         assert err <= 0.2 * g.h**2
 
@@ -141,7 +196,7 @@ def test_an_overflowing_gauge_weight_raises_naming_beta_and_the_antiderivative()
         with pytest.raises(ParameterError, match=r"beta=-30\.0, max\|int nu\|=15\.14"):
             ops.gauge_weight(g, -30.0, TANH)
         with pytest.raises(ParameterError, match="beta=-30"):
-            q.build_eta(g, q.MultiplicativeEta(-30.0, TANH))
+            q.build_eta(g, q.MultiplicativeEta(-30.0, TANH, q.scarf2_potential(2.0, 1.0)))
     assert np.all(np.isfinite(ops.gauge_weight(g, -20.0, TANH)))  # exp(606) is still finite
 
 
@@ -152,6 +207,21 @@ def test_an_underflowing_gauge_weight_raises_naming_beta_and_the_antiderivative(
         with pytest.raises(ParameterError, match=r"beta=30\.0, max\|int nu\|=15\.14"):
             ops.gauge_weight(g, 30.0, TANH)
         assert np.all(ops.gauge_weight(g, 20.0, TANH) > 0)  # exp(-606) is a normal float
+
+@pytest.mark.parametrize("accuracy", [2, 4])
+@pytest.mark.parametrize("potential", [["--family", "special-b1", "--A", "2"],
+                                       ["--V=-2*sech(x)^2"]], ids=["special-b1", "real-well"])
+def test_the_multiplicative_metric_intertwines_to_rounding(capsys, potential, accuracy):
+    # P W for the complex PT-symmetric V, W alone for the real one; both are
+    # exactly Hermitian because w is exactly even (measured: 3.0e-16 to
+    # 3.7e-16 at N = 1200)
+    argv = ["verify-eta", "--eta", "multiplicative", *potential, "--beta", "0.5",
+            "--accuracy", str(accuracy), "--N", "1200"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["residual"] <= 1e-12
+    assert out["hermitian_defect"] == 0
+
 
 def test_parity_squares_to_identity():
     g = q.make_grid(3.0, 24)
