@@ -21,6 +21,10 @@ evolve: grid, potential, gauge, --T --dt --weight --state-index --gauss-x0
 levels: --family --A --B --d --k.
 A flag matches by its full name only: an abbreviation such as --acc, or a flag
 that the subcommand does not take, is a config error (exit 2).
+
+The gauged H_beta = G H0 G^-1 (H0 = -D2 + diag(V), G = exp(beta int_0^x nu))
+reaches no eigen solve: `spectrum` reports H0's levels, which are H_beta's,
+and `evolve --state-index` starts from G x for an eigenvector x of H0.
 """
 
 from __future__ import annotations
@@ -152,24 +156,11 @@ def potential_from_args(args) -> operators.PotentialSpec:
 
 def gauge_from_args(args) -> operators.GaugeSpec | None:
     """The gauge, or None at beta = 0 without --nu.  A given --nu is parsed
-    also at beta = 0, and `build_hamiltonian` then checks it odd and real."""
+    also at beta = 0, and `gauge_antiderivative` then checks it odd and real."""
     if args.beta == 0.0 and args.nu is None:
         return None
     nu = parse_expression(args.nu or "tanh(x)", "gauge field")
     return operators.GaugeSpec(beta=args.beta, nu=nu)
-
-
-def gauge_flags(gauge: operators.GaugeSpec | None, grid) -> list[str]:
-    """["under-resolved-gauge"] when beta h max|nu| >= 1 on the grid, else [].
-
-    H_beta = G H G^-1 has H's eigenvalues for every beta, but a strong gauge
-    makes the span of G, exp(beta (max F - min F)), so large that the dense
-    accuracy-4 solve of H_beta loses levels to rounding.  The threshold is
-    a rough mark: on a long box a weaker gauge can lose levels too."""
-    if gauge is not None and abs(gauge.beta) * grid.h * np.max(
-            np.abs(expr.evaluate_on(gauge.nu, grid.points))) >= 1.0:
-        return ["under-resolved-gauge"]
-    return []
 
 
 def analytic_levels(args) -> models.LevelSet | None:
@@ -197,8 +188,9 @@ def levelset_json(levels: models.LevelSet) -> dict:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def bound_filtered(potential, gauge, L: float, N: int, accuracy: int, full: bool = True):
-    """The fine-grid (N) eigenvalues plus the two-grid (N/2 vs N) bound-state filter.
+def bound_filtered(potential, L: float, N: int, accuracy: int, full: bool = True):
+    """The fine-grid (N) eigenvalues of H0 = -D2 + diag(V), which every gauged
+    G H0 G^-1 shares, plus the two-grid (N/2 vs N) bound-state filter.
 
     With `full` the fine report holds all N eigenvalues (`eig`: Ehrlich-Aberth
     on a tridiagonal H, else dense LAPACK); otherwise only those with Re < 0,
@@ -209,8 +201,8 @@ def bound_filtered(potential, gauge, L: float, N: int, accuracy: int, full: bool
     """
     g_fine = make_grid(L, N)
     g_coarse = make_grid(L, N // 2)
-    H_fine = operators.build_hamiltonian(g_fine, potential, gauge, accuracy)
-    H_coarse = operators.build_hamiltonian(g_coarse, potential, gauge, accuracy)
+    H_fine = operators.build_hamiltonian(g_fine, potential, accuracy=accuracy)
+    H_coarse = operators.build_hamiltonian(g_coarse, potential, accuracy=accuracy)
     fine = eigen.eig(H_fine) if full else eigen.eig_below(H_fine, 0.0)
     coarse = eigen.eig_below(H_coarse, TOL_MOVE)
     bound = eigen.converged_bound_states(coarse.eigenvalues, fine.eigenvalues, TOL_MOVE)
@@ -220,7 +212,9 @@ def bound_filtered(potential, gauge, L: float, N: int, accuracy: int, full: bool
 def cmd_spectrum(args) -> int:
     potential = potential_from_args(args)
     gauge = gauge_from_args(args)
-    report, bound = bound_filtered(potential, gauge, args.L, args.N, args.accuracy)
+    if gauge is not None:  # the levels are the gauge-free ones; nu is still checked
+        operators.gauge_antiderivative(make_grid(args.L, args.N), gauge.nu)
+    report, bound = bound_filtered(potential, args.L, args.N, args.accuracy)
     out = {
         "config": {
             "L": args.L, "N": args.N, "accuracy": args.accuracy,
@@ -246,8 +240,6 @@ def cmd_spectrum(args) -> int:
             else:
                 devs.append(float("inf"))
         out["deviation"] = devs
-    # the coarse grid of the two-grid filter has the larger h
-    out["flags"] = gauge_flags(gauge, make_grid(args.L, args.N // 2))
     out["diagnostics"] = {"solver": report.solver}
     emit_report(dump_json(out) + "\n", args.out)
     return EXIT_OK
@@ -300,7 +292,6 @@ def cmd_verify_eta(args) -> int:
         "anti_hermitian_defect": anti,
         "eta_plus_residual": float(operators.intertwining_residual(plus, H, probes).max()),
         "eta_minus_residual": float(operators.intertwining_residual(minus, H, probes).max()),
-        "flags": gauge_flags(gauge, grid),
     }
     if args.eta == "second-order" and args.factor_r:
         rep = operators.verify_factorization(
@@ -338,7 +329,7 @@ def _sweep_row(task) -> tuple[int, dict]:
             potential = models.scarf2_potential(fixed["A"], value)
         else:
             raise ParameterError(f"unknown sweep axis {axis!r}")
-        _, bound = bound_filtered(potential, None, L, N, accuracy, full=False)
+        _, bound = bound_filtered(potential, L, N, accuracy, full=False)
         tags, _ = eigen.classify_spectrum(bound.values, tol)
         row["max_im"] = float(np.max(np.abs(bound.values.imag))) if len(bound.values) else 0.0
         row["real_count"] = sum(1 for t in tags if t == "real")
@@ -428,7 +419,7 @@ def cmd_evolve(args) -> int:
                        f"got {args.state_index}", {"state_index": args.state_index, "N": grid.N})
     H = operators.build_hamiltonian(grid, potential, gauge, args.accuracy)
 
-    flags = gauge_flags(gauge, grid)
+    flags = []
     gauged = gauge is not None and gauge.beta != 0.0
     if args.weight == "gauge" and gauged:
         w = operators.gauge_weight(grid, gauge.beta, gauge.nu)
@@ -444,12 +435,18 @@ def cmd_evolve(args) -> int:
         # sorted by (Re, Im); an exact conjugate pair lists -Im first.  The
         # Re < 0 levels are the leading part of that order, so the sparse
         # solve serves any index it covers; past them one dense solve runs.
-        report = eigen.eig_below(H, 0.0, want_vectors=True, min_count=args.state_index + 1)
+        # H = G H0 G^-1 with G = w_g^(-1/2): the solve runs on H0, free of
+        # G's conditioning, and maps its eigenvector x to G x.
+        H0 = operators.build_hamiltonian(grid, potential, None, args.accuracy) if gauged else H
+        report = eigen.eig_below(H0, 0.0, want_vectors=True, min_count=args.state_index + 1)
         psi0 = report.vectors[:, args.state_index]
+        if gauged:
+            psi0 = psi0 / np.sqrt(w if args.weight == "gauge" else
+                                  operators.gauge_weight(grid, gauge.beta, gauge.nu))
         diagnostics = {"solver": report.solver}
     else:
         psi0 = evolve.gaussian_state(grid, args.gauss_x0, args.gauss_sigma, args.gauss_k)
-    psi0, _ = inner.pseudo_normalize(grid, w, psi0)
+    psi0, _ = inner.pseudo_normalize(grid, w, psi0, index=args.state_index or 0)
 
     trace = evolve.run(H, grid, w, psi0, psi0, args.T, args.dt)
     Q0 = trace.Q[0]

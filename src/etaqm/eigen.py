@@ -9,7 +9,8 @@ everything else, and any request whose certificate fails, is one dense
 (ARPACK) certified complete by a bound on the numerical range, and falls
 back to `eig` when that would be costly or fails; the CLI uses it wherever
 only the low levels are read: the coarse grid of the two-grid filter, the
-sweep rows and `evolve --state-index`.
+sweep rows and `evolve --state-index`.  The CLI hands both solvers only the
+ungauged H0 = -D2 + diag(V): a gauged G H0 G^-1 has its levels and vectors G x.
 
 Pseudo-Hermitian spectra are real or come in complex-conjugate pairs; the
 classifier tags each eigenvalue accordingly.  Bound states of box-truncated

@@ -253,49 +253,62 @@ def test_an_underflowing_gauge_weight_is_one_json_error_without_warnings(command
     assert "beta=30.0" in err["message"] and "max|int nu|=" in err["message"]
 
 
-@pytest.mark.parametrize("beta,flagged", [("10", True), ("0.5", False)])
-def test_evolve_flags_a_gauge_the_grid_cannot_resolve(capsys, beta, flagged):
-    # h = 32/201, max|tanh| ~ 1: beta h max|nu| is 1.59 at beta = 10 and 0.08
-    # at beta = 0.5.  Past 1 the gauge factor G spans so many orders of
-    # magnitude that a dense accuracy-4 solve of H_beta loses levels.
-    argv = ["evolve", "--family", "special-b1", "--A", "2", "--beta", beta, "--N", "200",
-            "--T", "0.1"]
+def _without_beta(report: str) -> list[str]:
+    return [line for line in report.splitlines() if not line.lstrip().startswith('"beta"')]
+
+
+@pytest.mark.parametrize("accuracy", ["2", "4"])
+@pytest.mark.parametrize("beta", ["0.5", "10", "30"])
+def test_a_gauged_spectrum_is_the_ungauged_spectrum(capsys, beta, accuracy):
+    # H_beta = G H0 G^-1 has H0's levels, and `spectrum` solves H0 at any
+    # beta: the report differs from the beta = 0 one in config.beta alone.
+    # At beta = 10 G spans some e^150, and a dense accuracy-4 solve of H_beta
+    # itself loses levels to rounding.
+    argv = ["spectrum", "--family", "special-b1", "--A", "2", "--N", "400",
+            "--accuracy", accuracy, "--beta"]
+    reports = []
+    for b in (beta, "0"):
+        assert cli.main([*argv, b]) == 0
+        reports.append(capsys.readouterr().out)
+    assert _without_beta(reports[0]) == _without_beta(reports[1])
+    assert reports[0] != reports[1]
+    solver = json.loads(reports[0])["diagnostics"]["solver"]
+    assert solver == ("aberth" if accuracy == "2" else "real-pt")
+
+
+def test_a_strong_gauge_keeps_every_bound_level(capsys):
+    argv = ["spectrum", "--family", "special-b1", "--A", "2", "--beta", "10", "--accuracy", "4",
+            "--N", "800"]
     assert cli.main(argv) == 0
-    flags = json.loads(capsys.readouterr().out)["flags"]
-    assert flags == (["under-resolved-gauge"] if flagged else [])
+    bound = json.loads(capsys.readouterr().out)["bound"]
+    assert bound["count"] == 3
+    np.testing.assert_allclose([v[0] for v in bound["values"]], [-4.0, -1.0, -0.25],
+                               rtol=0, atol=1e-5)
 
 
-@pytest.mark.parametrize("beta,flagged", [("30", True), ("0.5", False)])
-def test_spectrum_flags_a_gauge_the_grid_cannot_resolve(capsys, beta, flagged):
-    # the coarse grid (N/2 = 200) has h = 32/201: beta h max|nu| is 4.8 at
-    # beta = 30 and 0.08 at beta = 0.5.  The flag warns of the dense
-    # accuracy-4 solve; at accuracy 2 the products e_k of H_beta = G H G^-1
-    # are those of H, so Ehrlich-Aberth certifies at any beta and returns
-    # H's levels (measured: 1.1e-13 from the beta = 0 request at max|lambda|
-    # = 628)
-    argv = ["spectrum", "--family", "special-b1", "--A", "2", "--N", "400", "--beta"]
-    assert cli.main([*argv, beta]) == 0
+@pytest.mark.parametrize("beta,accuracy,index", [("1", "2", "0"), ("3", "2", "0"),
+                                                 ("10", "4", "2")])
+def test_a_gauged_eigenstate_starts_from_the_mapped_h0_vector(capsys, beta, accuracy, index):
+    # the sparse solve runs on H0 and the start state is G x: under the
+    # gauge weight its pseudo-norm is x's, so it conserves to rounding.  An
+    # H_beta eigenvector of unit 2-norm sits at the walls, where
+    # w = e^{-2 beta F} hides it: at beta = 3 its pseudo-norm is 5.8e-15.
+    argv = ["evolve", "--family", "special-b1", "--A", "2", "--beta", beta, "--accuracy", accuracy,
+            "--N", "400", "--T", "0.02", "--state-index", index]
+    assert cli.main(argv) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["flags"] == (["under-resolved-gauge"] if flagged else [])
-    assert out["diagnostics"] == {"solver": "aberth"}
-    got = np.array([complex(*v) for v in out["eigenvalues"]])
-    if flagged:
-        assert cli.main([*argv, "0"]) == 0
-        ungauged = json.loads(capsys.readouterr().out)["eigenvalues"]
-        np.testing.assert_allclose(got, [complex(*v) for v in ungauged], rtol=0, atol=1e-12)
-    else:
-        dense = shared.dense_eigvals(shared.hamiltonian("special-b1", 2.0, 0.0, 400, float(beta)))
-        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-9)
+    assert out["max_drift"] <= 1e-12
+    assert out["diagnostics"] == {"solver": "shift-invert"}
+    assert out["flags"] == []
 
 
-@pytest.mark.parametrize("beta,flagged", [("10", True), ("0.5", False)])
-def test_verify_eta_flags_a_gauge_the_grid_cannot_resolve(capsys, beta, flagged):
-    # beta h max|nu| is 1.59 at beta = 10 and 0.08 at beta = 0.5, as for evolve
-    argv = ["verify-eta", "--eta", "parity", "--family", "special-b1", "--A", "2",
-            "--beta", beta, "--N", "200"]
-    assert cli.main(argv) == 0
-    flags = json.loads(capsys.readouterr().out)["flags"]
-    assert flags == (["under-resolved-gauge"] if flagged else [])
+def test_a_self_orthogonal_eigenstate_is_named_by_its_index():
+    # past the reality boundary the two lowest levels are a conjugate pair,
+    # each self-orthogonal under the PT pseudo-norm
+    r = run_cli("evolve", "--V=-2*sech(x)^2 - 3*i*sech(x)*tanh(x)", "--L", "10", "--N", "200",
+                "--T", "0.01", "--state-index", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr)["message"].startswith("ZeroPseudoNormError: state 1 has")
 
 
 @pytest.mark.parametrize("command", [
