@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -51,13 +52,21 @@ EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NAN = 0, 2, 3, 4
 # ---------------------------------------------------------------------------
 
 def fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return '"%s"' % repr(float(x))
     return format(float(x), ".17g")
 
 
+def _quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dump_json(obj, indent: int = 0) -> str:
-    """Minimal JSON emitter with fixed float formatting (17 significant digits)."""
+    """Minimal JSON emitter with fixed float formatting (17 significant digits).
+
+    A list of strings, or of [re, im] float pairs (`complex_list`), is
+    formatted in one join, without a call per item.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -73,8 +82,14 @@ def dump_json(obj, indent: int = 0) -> str:
         flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
         if flat and len(seq) <= 8:
             return "[" + ", ".join(dump_json(v) for v in seq) + "]"
-        items = ",\n".join(f"{pad}  {dump_json(v, indent + 1)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
+        if all(type(v) is str for v in seq):
+            items = map(_quote, seq)
+        elif all(type(v) in (list, tuple) and len(v) == 2
+                 and type(v[0]) is float and type(v[1]) is float for v in seq):
+            items = (f"[{fmt_float(re)}, {fmt_float(im)}]" for re, im in seq)
+        else:
+            items = (dump_json(v, indent + 1) for v in seq)
+        return "[\n" + ",\n".join(pad + "  " + item for item in items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -86,7 +101,7 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return "[" + fmt_float(obj.real) + ", " + fmt_float(obj.imag) + "]"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _quote(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -193,11 +208,11 @@ def bound_filtered(potential, L: float, N: int, accuracy: int, full: bool = True
     G H0 G^-1 shares, plus the two-grid (N/2 vs N) bound-state filter.
 
     With `full` the fine report holds all N eigenvalues (`eig`: Ehrlich-Aberth
-    on a tridiagonal H, else dense LAPACK); otherwise only those with Re < 0,
-    the filter's candidates.  The coarse grid needs only Re < TOL_MOVE: a
-    coarse level within TOL_MOVE of a candidate has Re < TOL_MOVE, so every
-    decision and kept movement is the one the whole coarse spectrum would
-    give.
+    on the banded H0, dense LAPACK behind a failed certificate); otherwise
+    only those with Re < 0, the filter's candidates.  The coarse grid needs
+    only Re < TOL_MOVE: a coarse level within TOL_MOVE of a candidate has
+    Re < TOL_MOVE, so every decision and kept movement is the one the whole
+    coarse spectrum would give.
     """
     g_fine = make_grid(L, N)
     g_coarse = make_grid(L, N // 2)

@@ -1,10 +1,14 @@
 """Non-Hermitian eigensolvers and spectrum classification.
 
-`eig` returns all N eigenvalues.  A values-only request on a tridiagonal H
-(every accuracy-2 Hamiltonian) runs Ehrlich-Aberth iteration on det(H - z),
-O(N^2) time and O(N) memory, and returns only when a certificate holds;
-everything else, and any request whose certificate fails, is one dense
-`scipy.linalg.eig` call, on the real fold S^H H S for PT-symmetric input.
+`eig` returns all N eigenvalues.  A values-only request on a tridiagonal H,
+or on an exactly symmetric H of bandwidth 2 (every H0 the CLI builds, at
+accuracy 2 and 4), runs Ehrlich-Aberth iteration on det(H - z), with Newton
+corrections from a ratio recurrence (bandwidth 1) or an unpivoted LDL^T of
+H - z (bandwidth 2), in O(N^2) time and O(N) memory.  It returns only when a
+certificate holds, and gives up once no iterate has converged for
+`_ABERTH_STALL` iterations in a row.  Vector requests, any other H, and any
+request whose certificate fails are one dense `scipy.linalg.eig` call, on
+the real fold S^H H S for PT-symmetric input.
 `eig_below` returns only those with Re < top, by shift-invert Arnoldi
 (ARPACK) certified complete by a bound on the numerical range, and falls
 back to `eig` when that would be costly or fails; the CLI uses it wherever
@@ -58,7 +62,8 @@ _K_FRACTION = 8  # dense eig takes over when k would pass n / _K_FRACTION
 _V0_SEED = 20020606  # seed of the ARPACK start vector
 _EPS = np.finfo(float).eps
 _ABERTH_MAX_ITER = 64  # iterations before the certificate fails; 10-30 is typical
-_ABERTH_CHUNK = 1 << 16  # entries per row chunk of the Aberth sums (1 MiB complex)
+_ABERTH_STALL = 16  # iterations in a row without a retirement before it fails
+_ABERTH_CHUNK = 1 << 14  # entries per row chunk of the Aberth sums (256 KiB complex)
 _ABERTH_SHIFT = 1e-6  # start points sit at +-_ABERTH_SHIFT (1 + |x|) i off the real axis
 _ABERTH_FLOOR = 4 * _EPS  # a correction below this times (|z| + s) is rounding
 _TRACE_C = 16  # the trace checks allow _TRACE_C N eps of the sums of magnitudes
@@ -114,10 +119,11 @@ def _pt_fold(H):
 def eig(M, want_vectors: bool = False) -> SpectrumReport:
     """All eigenvalues of a square matrix, sorted by (Re, Im).
 
-    A values-only request on a tridiagonal M (every stored entry within one
-    diagonal of the main one) goes to `_aberth_tridiagonal` (solver
-    "aberth"); when its certificate fails, and for every other request,
-    LAPACK QR iteration runs as follows, and its result is returned as it is.
+    A values-only request on a banded M that `_band` accepts (every stored
+    entry within one diagonal of the main one, or within two when M == M^T
+    exactly) goes to `_aberth` (solver "aberth"); when its certificate
+    fails, and for every other request, LAPACK QR iteration runs as
+    follows, and its result is returned as it is.
 
     The Hamiltonians of the paper commute with the antilinear operator PT,
     so their characteristic polynomial is real and the matrix is unitarily
@@ -136,9 +142,9 @@ def eig(M, want_vectors: bool = False) -> SpectrumReport:
     """
     H = _as_csr(M)
     S, R = _pt_fold(H)
-    tri = None if want_vectors else _tridiagonal(H)
-    if tri is not None:
-        vals = _aberth_tridiagonal(*tri, pt=R is not None)
+    band = None if want_vectors else _band(H)
+    if band is not None:
+        vals = _aberth(band, pt=R is not None)
         if vals is not None:
             return _report(vals, None, "aberth")
     try:
@@ -155,70 +161,99 @@ def eig(M, want_vectors: bool = False) -> SpectrumReport:
     return _report(vals, vecs, solver)
 
 
-def _tridiagonal(H):
-    """(a, e) of a CSR H whose stored entries all lie within one diagonal of
-    the main one, else None: the diagonal a_k and the products
-    e_k = H[k+1, k] H[k, k+1], on which alone det(H - z) depends."""
+def _band(H) -> tuple | None:
+    """The diagonals of a CSR H on which alone det(H - z) depends, else None.
+
+    (a, e) when every stored entry lies within one diagonal of the main one:
+    the diagonal a_k and the products e_k = H[k+1, k] H[k, k+1].  (a, b, c)
+    when they lie within two and H == H^T exactly: the diagonal, b_k =
+    H[k, k+1] and c_k = H[k, k+2].  A wider H, or a non-symmetric one of
+    bandwidth 2, gives None.
+    """
     rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
-    if np.any(np.abs(rows - H.indices) > 1):
-        return None
+    width = np.max(np.abs(rows - H.indices), initial=0)
     a = H.diagonal().astype(complex)
-    return a, H.diagonal(1).astype(complex) * H.diagonal(-1)
+    if width <= 1:
+        return a, H.diagonal(1).astype(complex) * H.diagonal(-1)
+    b, c = H.diagonal(1), H.diagonal(2)
+    if width > 2 or not (np.array_equal(b, H.diagonal(-1))
+                         and np.array_equal(c, H.diagonal(-2))):
+        return None
+    return a, b.astype(complex), c.astype(complex)
 
 
-def _aberth_tridiagonal(a: np.ndarray, e: np.ndarray, pt: bool) -> np.ndarray | None:
-    """The roots of det(H - z) for the tridiagonal H of (a, e) (see
-    `_tridiagonal`), sorted by (Re, Im), or None when the certificate fails.
+def _aberth(band: tuple, pt: bool) -> np.ndarray | None:
+    """The roots of det(H - z) for the banded H of `band` (see `_band`),
+    sorted by (Re, Im), or None when the certificate fails.
 
     Ehrlich-Aberth iteration (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
     Appl. 27, 153 (2005)) moves every iterate z_i by w = n / (1 - n A_i),
     with the Newton correction n = p/p' of `_newton_corrections` and the
     Aberth sum A_i = sum_{j != i} 1/(z_i - z_j) of `_aberth_sums`.  The start
-    points are the eigenvalues of the real symmetric tridiagonal with
-    diagonal Re a and off-diagonal sqrt|e|, moved off the real axis by
-    alternating +-`_ABERTH_SHIFT` (1 + |x|) i.  An iterate retires once |w|
-    falls to the rounding floor `_ABERTH_FLOOR` (|z| + s), s = max|a| +
-    2 sqrt(max|e|); its error estimate is then the larger of |w| and that
-    floor.  No other rule retires an iterate: one that also retired an
-    iterate whose |w| stopped shrinking short of the floor let a root with
-    a relative error of 2e-8 pass on a random tridiagonal.
+    points are the eigenvalues of a real symmetric matrix of the same band,
+    moved off the real axis by alternating +-`_ABERTH_SHIFT` (1 + |x|) i:
+    for (a, e) the tridiagonal with diagonal Re a and off-diagonal sqrt|e|,
+    for (a, b, c) Re H.  An iterate retires once |w| falls to the rounding
+    floor `_ABERTH_FLOOR` (|z| + s), s = max|a| + 2 sqrt(max|e|), or
+    max|a| + 2 max|b| + 2 max|c|; its error estimate is then the larger of
+    |w| and that floor.  No other rule retires an iterate: one that also
+    retired an iterate whose |w| stopped shrinking short of the floor let a
+    root with a relative error of 2e-8 pass on a random tridiagonal.
 
     The certificate: every iterate retires within `_ABERTH_MAX_ITER`
-    iterations with finite values, and sum z = tr H and sum z^2 = tr H^2 =
-    sum a^2 + 2 sum e, each within `_TRACE_C` n eps times the matching sum
-    of magnitudes (a root missed or found twice moves them).  For PT input
-    (`pt`) the polynomial is real: each root is real within its estimate or
-    pairs with a conjugate within the sum of theirs (`_pt_pairs`), and the
-    values come out as the "real-pt" solver gives them.
+    iterations with finite values, never `_ABERTH_STALL` iterations in a
+    row without a retirement (near a double root an iterate can creep for
+    the whole budget), and sum z = tr H and sum z^2 = tr H^2 = sum a^2 +
+    2 sum e (or sum a^2 + 2 sum b^2 + 2 sum c^2), each within `_TRACE_C`
+    n eps times the matching sum of magnitudes (a root missed or found
+    twice moves them).  For PT input (`pt`) the polynomial is real: each
+    root is real within its estimate or pairs with a conjugate within the
+    sum of theirs (`_pt_pairs`), and the values come out as the "real-pt"
+    solver gives them.
     """
+    a = band[0]
     n = len(a)
-    s = float(np.max(np.abs(a)) + 2.0 * np.sqrt(np.max(np.abs(e), initial=0.0)))
-    x = scipy.linalg.eigvalsh_tridiagonal(a.real, np.sqrt(np.abs(e)))
+    if len(band) == 2:
+        e = off = band[1]  # tr H^2 = sum a^2 + 2 sum off
+        s = float(np.max(np.abs(a)) + 2.0 * np.sqrt(np.max(np.abs(e), initial=0.0)))
+        x = scipy.linalg.eigvalsh_tridiagonal(a.real, np.sqrt(np.abs(e)))
+        coeffs = a.tolist(), e.tolist()
+    else:
+        b, c = band[1:]
+        off = np.concatenate([b * b, c * c])
+        s = float(np.max(np.abs(a)) + 2.0 * np.max(np.abs(b)) + 2.0 * np.max(np.abs(c)))
+        x = scipy.linalg.eigvals_banded(np.array([np.r_[0.0, 0.0, c.real],
+                                                  np.r_[0.0, b.real], a.real]))
+        coeffs = a.tolist(), [0.0, *b.tolist()], [0.0, 0.0, *c.tolist()]
     z = x + 1j * _ABERTH_SHIFT * (1.0 + np.abs(x)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    coeffs = a.tolist(), e.tolist(), _EPS * s
     err = np.full(n, np.inf)
     active = np.arange(n)
+    stall = 0  # iterations since the last retirement
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_MAX_ITER):
             if not active.size:
                 break
             za = z[active]
-            newton = _newton_corrections(za, *coeffs)
+            newton = _newton_corrections(za, coeffs, _EPS * s)
             w = newton / (1.0 - newton * _aberth_sums(z, active))
             za -= w
             if not np.all(np.isfinite(za)):
                 return None
             z[active] = za
             err[active] = np.abs(w)
-            active = active[err[active] > _ABERTH_FLOOR * (np.abs(za) + s)]
+            kept = active[err[active] > _ABERTH_FLOOR * (np.abs(za) + s)]
+            stall = stall + 1 if kept.size == active.size else 0
+            if stall == _ABERTH_STALL:
+                return None
+            active = kept
         if active.size:
             return None
         err = np.maximum(err, _ABERTH_FLOOR * (np.abs(z) + s))
         tol = _TRACE_C * n * _EPS
         z2 = z * z
         if (abs(z.sum() - a.sum()) > tol * (np.abs(a).sum() + np.abs(z).sum())
-                or abs(z2.sum() - (a * a).sum() - 2.0 * e.sum())
-                > tol * (np.abs(a * a).sum() + 2.0 * np.abs(e).sum() + np.abs(z2).sum())):
+                or abs(z2.sum() - (a * a).sum() - 2.0 * off.sum())
+                > tol * (np.abs(a * a).sum() + 2.0 * np.abs(off).sum() + np.abs(z2).sum())):
             return None
     if pt:
         z = _pt_pairs(z, err)
@@ -227,26 +262,33 @@ def _aberth_tridiagonal(a: np.ndarray, e: np.ndarray, pt: bool) -> np.ndarray | 
     return z[np.lexsort((z.imag, z.real))]
 
 
-def _newton_corrections(z: np.ndarray, a: list, e: list, pivmin: float) -> np.ndarray:
-    """p(z)/p'(z) for p(z) = det(H - z), at every point of z; a and e as lists.
+def _newton_corrections(z: np.ndarray, coeffs: tuple, pivmin: float) -> np.ndarray:
+    """p(z)/p'(z) for p(z) = det(H - z), at every point of z, from the
+    diagonals of `_aberth` as lists: (a, e) for `_ratio_pass`, (a, b, c)
+    padded in front for `_ldl_pass`.
 
-    p = prod_k f_k with the ratios f_0 = a_0 - z, f_k = (a_k - z) -
-    e_{k-1}/f_{k-1}, which do not overflow as p does, and p'/p = sum_k
-    f_k'/f_k with f_k' = -1 + e_{k-1} f_{k-1}'/f_{k-1}^2: one pass over k,
-    vectorized over z.  A point where some f_k vanishes or overflows
-    repeats the pass with |f_k| < pivmin set to pivmin, a backward
-    perturbation of a_k by at most 2 pivmin.
+    Either pass is one loop over k, vectorized over z, of a recurrence for
+    ratios that do not overflow as p does.  A point where some pivot
+    vanishes or overflows repeats the pass with pivots of modulus below
+    pivmin set to pivmin, a backward perturbation of a_k by at most
+    2 pivmin.
     """
-    out = _ratio_pass(z, a, e, 0.0)
+    kernel = _ratio_pass if len(coeffs) == 2 else _ldl_pass
+    out = kernel(z, *coeffs, 0.0)
     bad = ~np.isfinite(out)
     if bad.any():
-        out[bad] = _ratio_pass(z[bad], a, e, pivmin)
+        out[bad] = kernel(z[bad], *coeffs, pivmin)
     return out
 
 
 def _ratio_pass(z: np.ndarray, a: list, e: list, pivmin: float) -> np.ndarray:
-    """One pass of the recurrence of `_newton_corrections`, in place on a
-    few work vectors; q_k = f_k'/f_k, r_k = 1/f_k and t = e_{k-1} r_{k-1}."""
+    """p/p' for a tridiagonal H, in place on a few work vectors.
+
+    p = prod_k f_k with the ratios f_0 = a_0 - z, f_k = (a_k - z) -
+    e_{k-1}/f_{k-1}, and p'/p = sum_k f_k'/f_k with f_k' = -1 +
+    e_{k-1} f_{k-1}'/f_{k-1}^2; q_k = f_k'/f_k, r_k = 1/f_k and
+    t = e_{k-1} r_{k-1}.
+    """
     f = np.empty_like(z)
     r = np.empty_like(z)
     t = np.zeros_like(z)
@@ -264,6 +306,48 @@ def _ratio_pass(z: np.ndarray, a: list, e: list, pivmin: float) -> np.ndarray:
         t -= 1.0
         np.multiply(t, r, out=q)
         total += q
+    return np.reciprocal(total, out=total)
+
+
+def _ldl_pass(z: np.ndarray, a: list, b: list, c: list, pivmin: float) -> np.ndarray:
+    """p/p' for an exactly symmetric pentadiagonal H, in place on a few
+    work vectors; b[k] = H[k-1, k] and c[k] = H[k-2, k], zero before row 0.
+
+    p = prod_k D_k with the pivots of H - z = L D L^T, unpivoted: mu_k =
+    b[k] - c[k] l_{k-1}, l_k = mu_k / D_{k-1} and D_k = (a_k - z) -
+    mu_k l_k - c[k]^2 / D_{k-2}.  p'/p = sum_k D_k'/D_k, with D_k' from
+    differentiating the same recurrence.  r1, r2 hold 1/D and q1, q2 hold
+    D'/D of the two rows before; l1 and dl1 hold l and l' of the last one.
+    """
+    D, t, u, mu, dmu, l, dl, l1, dl1, r1, r2, q1, q2, total = (
+        np.zeros_like(z) for _ in range(14))
+    for k in range(len(a)):
+        ck = c[k]
+        np.multiply(l1, -ck, out=mu)
+        mu += b[k]
+        np.multiply(dl1, -ck, out=dmu)
+        np.multiply(mu, r1, out=l)
+        np.multiply(dmu, r1, out=dl)
+        np.multiply(l, q1, out=t)
+        dl -= t
+        np.subtract(a[k], z, out=D)
+        np.multiply(mu, l, out=t)
+        D -= t
+        np.multiply(r2, ck * ck, out=t)
+        D -= t
+        t *= q2  # D_k' = c^2 D_{k-2}'/D_{k-2}^2 - 1 - mu' l - mu l'
+        t -= 1.0
+        np.multiply(dmu, l, out=u)
+        t -= u
+        np.multiply(mu, dl, out=u)
+        t -= u
+        if pivmin:
+            D[np.abs(D) < pivmin] = pivmin
+        np.reciprocal(D, out=r2)  # the row two back is spent: its buffers
+        np.multiply(t, r2, out=q2)  # take this row's 1/D and D'/D
+        total += q2
+        r1, r2, q1, q2 = r2, r1, q2, q1
+        l1, l, dl1, dl = l, l1, dl, dl1
     return np.reciprocal(total, out=total)
 
 

@@ -145,12 +145,16 @@ def test_spectrum_byte_identical_reruns(tmp_path):
     ("-2*sech(x)^2 - 3*i*sech(x)*tanh(x)", "real-pt"),
     ("-2*sech(x)^2 + 0.5*i*sech(x)^2", "complex"),
 ])
-def test_spectrum_reports_the_solver(V, solver):
-    # the tridiagonal accuracy-2 H runs Ehrlich-Aberth; accuracy 4 the dense solver
-    for accuracy, expected in (("2", "aberth"), ("4", solver)):
+def test_spectrum_reports_the_solver(monkeypatch, capsys, V, solver):
+    # H0 is tridiagonal at accuracy 2 and symmetric pentadiagonal at accuracy
+    # 4: both run Ehrlich-Aberth, and a failed certificate the dense solver
+    for accuracy in ("2", "4"):
         r = run_cli("spectrum", f"--V={V}", "--L", "10", "--N", "120", "--accuracy", accuracy)
         assert r.returncode == 0
-        assert json.loads(r.stdout)["diagnostics"] == {"solver": expected}
+        assert json.loads(r.stdout)["diagnostics"] == {"solver": "aberth"}
+    monkeypatch.setattr(eigen, "_ABERTH_MAX_ITER", 1)
+    assert cli.main(["spectrum", f"--V={V}", "--L", "10", "--N", "120", "--accuracy", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == {"solver": solver}
 
 
 def test_evolve_state_index_on_a_conjugate_pair_is_deterministic(tmp_path):
@@ -272,8 +276,7 @@ def test_a_gauged_spectrum_is_the_ungauged_spectrum(capsys, beta, accuracy):
         reports.append(capsys.readouterr().out)
     assert _without_beta(reports[0]) == _without_beta(reports[1])
     assert reports[0] != reports[1]
-    solver = json.loads(reports[0])["diagnostics"]["solver"]
-    assert solver == ("aberth" if accuracy == "2" else "real-pt")
+    assert json.loads(reports[0])["diagnostics"]["solver"] == "aberth"
 
 
 def test_a_strong_gauge_keeps_every_bound_level(capsys):
@@ -456,6 +459,61 @@ def test_trace_csv_writes_non_finite_values_as_json_strings():
                                   final_states=(t, t))
     assert cli.trace_csv(trace).splitlines()[2] == '0.001,"inf","nan","-inf"'
     assert cli.fmt_float(np.float64("inf")) == cli.dump_json(np.float64("inf")) == '"inf"'
+
+
+def _dump_json_per_item(obj, indent=0):
+    """The generic emitter: `dump_json` with one call per list item."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  "{k}": {_dump_json_per_item(v, indent + 1)}' for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
+        if flat and len(seq) <= 8:
+            return "[" + ", ".join(_dump_json_per_item(v) for v in seq) + "]"
+        items = ",\n".join(f"{pad}  {_dump_json_per_item(v, indent + 1)}" for v in seq)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return cli.fmt_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return "[" + cli.fmt_float(obj.real) + ", " + cli.fmt_float(obj.imag) + "]"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
+_scalars = (_floats | _floats.map(np.float64) | st.integers(-10**6, 10**6).map(np.int64)
+            | st.integers() | st.booleans() | st.none() | st.complex_numbers()
+            | st.complex_numbers().map(np.complex128)
+            | st.text(alphabet=st.sampled_from('ab"\\\' \n'), max_size=6))
+_pairs = st.lists(st.lists(_floats | _floats.map(np.float64), min_size=2, max_size=2)
+                  | st.tuples(_floats, _floats), min_size=1, max_size=20)
+_strings = st.lists(st.text(alphabet=st.sampled_from('ab"\\\' '), max_size=6), max_size=20)
+_json = st.recursive(
+    _scalars | _pairs | _strings,
+    lambda children: st.lists(children, max_size=12)
+    | st.dictionaries(st.text(alphabet="abc", max_size=3), children, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json)
+def test_dump_json_is_byte_identical_to_the_generic_emitter(obj):
+    assert cli.dump_json(obj) == _dump_json_per_item(obj)
 
 
 def test_tol_is_a_sweep_flag_only(capsys):

@@ -134,9 +134,11 @@ def test_real_pt_path_matches_complex_eigvals(N, seed, kinetic):
 
 
 def test_non_pt_input_takes_the_unchanged_complex_path():
-    # V = -2 sech^2 x + 0.5 i sech^2 x: V(-x) != conj V(x); accuracy 4, so
-    # the values-only request is not tridiagonal either
-    H = shared.hamiltonian("non-pt", 0.0, 0.0, 200, 0.0, 4)
+    # V = -2 sech^2 x + 0.5 i sech^2 x: V(-x) != conj V(x); gauged at
+    # accuracy 4, so the values-only request is neither tridiagonal nor
+    # symmetric, and no Ehrlich-Aberth solve runs either
+    H = shared.hamiltonian("non-pt", 0.0, 0.0, 200, shared.GAUGE_BETA, 4)
+    assert eigen._band(H) is None
     rep = eigen.eig(H)
     assert rep.solver == "complex"
     vals = scipy.linalg.eigvals(H.toarray())
@@ -148,12 +150,13 @@ def test_non_pt_input_takes_the_unchanged_complex_path():
     np.testing.assert_array_equal(rep.vectors, vecs[:, order])
 
 
-def _random_tridiagonal(N, seed, pt, gauged, diag_scale, off_scale):
+def _random_band(N, seed, pt, gauged, bandwidth, diag_scale, off_scale):
     """diag_scale diag(d + V) plus off_scale times a real symmetric
     off-diagonal o, with d real and V complex; under `pt` d and o are
     parity-even and V[::-1] == conj V.  With `gauged` a real g is added above
     the diagonal and subtracted below it (g odd under `pt`), so the two
-    off-diagonals differ."""
+    off-diagonals differ.  At bandwidth 2 a real symmetric second
+    off-diagonal (parity-even under `pt`) is added."""
     rng = np.random.default_rng(seed)
     d = rng.normal(size=N)
     o = rng.normal(size=N - 1)
@@ -162,28 +165,40 @@ def _random_tridiagonal(N, seed, pt, gauged, diag_scale, off_scale):
     if pt:
         d, o, g = d + d[::-1], o + o[::-1], g - g[::-1]
         V = 0.5 * (V + np.conj(V[::-1]))
-    return (diag_scale * np.diag(d + V)
-            + off_scale * (np.diag(o + g, 1) + np.diag(o - g, -1)))
+    M = (diag_scale * np.diag(d + V)
+         + off_scale * (np.diag(o + g, 1) + np.diag(o - g, -1)))
+    if bandwidth == 2:
+        o2 = rng.normal(size=N - 2)
+        if pt:
+            o2 = o2 + o2[::-1]
+        M += off_scale * (np.diag(o2, 2) + np.diag(o2, -2))
+    return M
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
     N=st.integers(3, 300),
     seed=st.integers(0, 2**32 - 1),
     pt=st.booleans(),
     gauged=st.booleans(),
+    bandwidth=st.sampled_from([1, 2]),
     log_scales=st.tuples(st.floats(-2.0, 4.0), st.floats(-2.0, 4.0)),
 )
 def test_aberth_values_match_dense_eig_within_the_condition_bound(N, seed, pt, gauged,
-                                                                 log_scales):
-    M = _random_tridiagonal(N, seed, pt, gauged, *(10.0 ** u for u in log_scales))
+                                                                 bandwidth, log_scales):
+    # a gauged bandwidth-2 H is not symmetric: no Ehrlich-Aberth solve takes it
+    gauged = gauged and bandwidth == 1
+    M = _random_band(N, seed, pt, gauged, bandwidth, *(10.0 ** u for u in log_scales))
     H = sp.csr_array(M)
     assert (eigen._pt_fold(H)[1] is not None) == pt
-    vals = eigen._aberth_tridiagonal(*eigen._tridiagonal(H), pt=pt)
+    band = eigen._band(H)
+    assert len(band) == bandwidth + 1
+    vals = eigen._aberth(band, pt=pt)
     rep = eigen.eig(H)
-    event(rep.solver)
+    event(f"bandwidth {bandwidth}: {rep.solver}")
     if vals is None:  # the certificate failed: the dense solver's result
         assert rep.solver == ("real-pt" if pt else "complex")
+        np.testing.assert_array_equal(rep.eigenvalues, shared.dense_eigvals(H))
         return
     assert rep.solver == "aberth"
     np.testing.assert_array_equal(rep.eigenvalues, vals)
@@ -220,17 +235,18 @@ def test_aberth_certifies_the_accuracy_2_hamiltonians(kind, p2, beta):
 
 @pytest.mark.parametrize("kind,solver", [("scarf2", "real-pt"), ("non-pt", "complex")])
 def test_a_failed_certificate_returns_the_dense_result_bit_for_bit(monkeypatch, kind, solver):
-    H = shared.hamiltonian(kind, 2.0, 1.0, 200)
     monkeypatch.setattr(eigen, "_ABERTH_MAX_ITER", 1)
-    rep = eigen.eig(H)
-    assert rep.solver == solver
-    np.testing.assert_array_equal(rep.eigenvalues, shared.dense_eigvals(H))
+    for accuracy in (2, 4):  # bandwidth 1 and 2
+        H = shared.hamiltonian(kind, 2.0, 1.0, 200, 0.0, accuracy)
+        rep = eigen.eig(H)
+        assert rep.solver == solver
+        np.testing.assert_array_equal(rep.eigenvalues, shared.dense_eigvals(H))
 
 
 def test_an_iterate_retired_off_a_root_fails_the_trace_certificate(monkeypatch):
     H = shared.hamiltonian("scarf2", 2.0, 1.0, 200)
-    tri = eigen._tridiagonal(H)
-    assert eigen._aberth_tridiagonal(*tri, pt=True) is not None
+    band = eigen._band(H)
+    assert eigen._aberth(band, pt=True) is not None
     newton = eigen._newton_corrections
 
     def freeze_first(z, *args):  # iterate 0 stays at its start point
@@ -240,15 +256,15 @@ def test_an_iterate_retired_off_a_root_fails_the_trace_certificate(monkeypatch):
         return out
 
     monkeypatch.setattr(eigen, "_newton_corrections", freeze_first)
-    assert eigen._aberth_tridiagonal(*tri, pt=False) is None  # no pairing check runs
+    assert eigen._aberth(band, pt=False) is None  # no pairing check runs
     assert eigen.eig(H).solver == "real-pt"
 
 
 def test_roots_without_conjugates_fail_the_pt_certificate():
     # the non-PT H passes every other check; its roots are not conjugate-symmetric
-    tri = eigen._tridiagonal(shared.hamiltonian("non-pt", 0.0, 0.0, 200))
-    assert eigen._aberth_tridiagonal(*tri, pt=False) is not None
-    assert eigen._aberth_tridiagonal(*tri, pt=True) is None
+    band = eigen._band(shared.hamiltonian("non-pt", 0.0, 0.0, 200))
+    assert eigen._aberth(band, pt=False) is not None
+    assert eigen._aberth(band, pt=True) is None
 
 
 def test_vector_requests_on_a_tridiagonal_h_run_the_dense_solver_unchanged():
@@ -264,15 +280,34 @@ def test_vector_requests_on_a_tridiagonal_h_run_the_dense_solver_unchanged():
 
 def test_aberth_never_allocates_an_n_by_n_array():
     N = 1600
-    H = shared.hamiltonian("scarf2", 2.0, 1.0, N)
-    tracemalloc.start()
-    try:
-        rep = eigen.eig(H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.solver == "aberth"
-    assert peak < N * N * 8 / 4  # a quarter of one float64 N x N array
+    for accuracy in (2, 4):  # bandwidth 1 and 2
+        H = shared.hamiltonian("scarf2", 2.0, 1.0, N, 0.0, accuracy)
+        tracemalloc.start()
+        try:
+            rep = eigen.eig(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.solver == "aberth"
+        assert peak < N * N * 8 / 4  # a quarter of one float64 N x N array
+
+
+def test_a_solve_that_stops_retiring_iterates_gives_up_early(monkeypatch):
+    # A - B + 1/2 = 1.9982 nearly an integer: the two Scarf II series nearly
+    # coalesce, and one iterate creeps until the dense solve takes over
+    H = shared.hamiltonian("scarf2", 2.4982, 1.0, 400)
+    calls = []
+    newton = eigen._newton_corrections
+
+    def count(*args):
+        calls.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(eigen, "_newton_corrections", count)
+    rep = eigen.eig(H)
+    assert rep.solver == "real-pt"
+    assert len(calls) <= 32  # all 64 iterations ran before the give-up rule
+    np.testing.assert_array_equal(rep.eigenvalues, shared.dense_eigvals(H))
 
 
 def test_eigenvalue_sum_matches_trace():
@@ -537,10 +572,10 @@ def test_eig_below_falls_back_to_dense_when_k_would_pass_n_over_k_fraction():
     # below n = _K_FRACTION * _K_START ARPACK is never asked: `eig` runs
     N = 96
     assert N < eigen._K_FRACTION * eigen._K_START
-    for accuracy, solver in ((2, "aberth"), (4, "real-pt")):
+    for accuracy in (2, 4):
         H = shared.hamiltonian("scarf2", 2.0, 1.0, N, 0.0, accuracy)
         rep = eigen.eig_below(H, 1e-3)
-        assert rep.solver == solver
+        assert rep.solver == "aberth"
         _assert_matches_dense_below(rep, eigen.eig(H), 1e-3)
 
 
