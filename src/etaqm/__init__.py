@@ -3,11 +3,13 @@
 Builds discretized non-Hermitian Hamiltonians as sparse matrices (the
 complex Scarf II potential and custom expressions, with optional imaginary
 gauge coupling) and the metric operators that intertwine them with their
-adjoints.  The full spectrum of a tridiagonal (accuracy-2) H comes from
-certified O(N^2) Ehrlich-Aberth iteration on its characteristic polynomial,
-of any other H from one dense `scipy.linalg.eig` call, on a real fold of
-PT-symmetric H (on the complex H otherwise); the Re < 0 levels come from
-certified sparse shift-invert.  Spectra are classified into real levels and
+adjoints.  The full spectrum of a tridiagonal (accuracy-2) H, or of an
+exactly symmetric pentadiagonal (accuracy-4) one, comes from certified
+O(N^2) Ehrlich-Aberth iteration on its characteristic polynomial; that of
+any other H, of a vector request, or behind a failed certificate, from one
+dense `scipy.linalg.eig` call, on a real fold of PT-symmetric H (on the
+complex H otherwise).  The Re < 0 levels come from certified sparse
+shift-invert.  Spectra are classified into real levels and
 conjugate pairs against analytic levels.  Crank-Nicolson
 evolution checks the generalized conservation law and eta-orthogonality,
 and records the per-step flux form of the continuity law, which the

@@ -4,9 +4,12 @@
 or on an exactly symmetric H of bandwidth 2 (every H0 the CLI builds, at
 accuracy 2 and 4), runs Ehrlich-Aberth iteration on det(H - z), with Newton
 corrections from a ratio recurrence (bandwidth 1) or an unpivoted LDL^T of
-H - z (bandwidth 2), in O(N^2) time and O(N) memory.  It returns only when a
-certificate holds, and gives up once no iterate has converged for
-`_ABERTH_STALL` iterations in a row.  Vector requests, any other H, and any
+H - z (bandwidth 2), in O(N^2) time and O(N) memory.  Once at most `_FEW`
+iterates of a tridiagonal H are left, their three-term recurrences run in
+BLAS instead, as one stacked banded triangular solve (`_stacked_pass`); a
+point whose scaled recurrence leaves the floating-point range goes back to
+the ratio recurrence.  It returns only when a certificate holds, and gives
+up once no iterate has converged for `_ABERTH_STALL` iterations in a row.  Vector requests, any other H, and any
 request whose certificate fails are one dense `scipy.linalg.eig` call, on
 the real fold S^H H S for PT-symmetric input.
 `eig_below` returns only those with Re < top, by shift-invert Arnoldi
@@ -17,9 +20,12 @@ sweep rows and `evolve --state-index`.  The CLI hands both solvers only the
 ungauged H0 = -D2 + diag(V): a gauged G H0 G^-1 has its levels and vectors G x.
 
 Pseudo-Hermitian spectra are real or come in complex-conjugate pairs; the
-classifier tags each eigenvalue accordingly.  Bound states of box-truncated
-problems are identified by sign of the real part plus stability under grid
-refinement, which separates them from discretized continuum states.
+classifier tags each eigenvalue accordingly.  `converged_bound_states` keeps
+the Re < 0 eigenvalues that are stable under grid refinement.  That tells
+bound states from box-continuum states only when the continuum edge lies at
+Re >= 0: both converge in h, and they differ in the box length L instead.
+For V = -1 - 2 sech^2 x (edge -1) the box states between -1 and 0 pass the
+filter; ROADMAP item 8 replaces it with a box-stability test.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ztbsv
 
 from .errors import ParameterError, SolverError
 
@@ -66,6 +73,8 @@ _ABERTH_STALL = 16  # iterations in a row without a retirement before it fails
 _ABERTH_CHUNK = 1 << 14  # entries per row chunk of the Aberth sums (256 KiB complex)
 _ABERTH_SHIFT = 1e-6  # start points sit at +-_ABERTH_SHIFT (1 + |x|) i off the real axis
 _ABERTH_FLOOR = 4 * _EPS  # a correction below this times (|z| + s) is rounding
+_FEW = 160  # up to this many active iterates `_stacked_pass` beats `_ratio_pass`
+_TINY = 2.0 ** -900  # a scaled p or p' outside [_TINY, 1/_TINY] may have lost digits
 _TRACE_C = 16  # the trace checks allow _TRACE_C N eps of the sums of magnitudes
 
 
@@ -189,9 +198,13 @@ def _aberth(band: tuple, pt: bool) -> np.ndarray | None:
     Ehrlich-Aberth iteration (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
     Appl. 27, 153 (2005)) moves every iterate z_i by w = n / (1 - n A_i),
     with the Newton correction n = p/p' of `_newton_corrections` and the
-    Aberth sum A_i = sum_{j != i} 1/(z_i - z_j) of `_aberth_sums`.  The start
-    points are the eigenvalues of a real symmetric matrix of the same band,
-    moved off the real axis by alternating +-`_ABERTH_SHIFT` (1 + |x|) i:
+    Aberth sum A_i = sum_{j != i} 1/(z_i - z_j) of `_aberth_sums`.  Only the
+    active iterates get a correction: after the first few iterations most
+    have retired, and for (a, e) the few left (at most `_FEW`) take theirs
+    from `_stacked_pass`; the certificate below is the same whichever pass
+    formed them.  The start points are the eigenvalues of a real symmetric
+    matrix of the same band, moved off the real axis by alternating
+    +-`_ABERTH_SHIFT` (1 + |x|) i:
     for (a, e) the tridiagonal with diagonal Re a and off-diagonal sqrt|e|,
     for (a, b, c) Re H.  An iterate retires once |w| falls to the rounding
     floor `_ABERTH_FLOOR` (|z| + s), s = max|a| + 2 sqrt(max|e|), or
@@ -234,7 +247,7 @@ def _aberth(band: tuple, pt: bool) -> np.ndarray | None:
             if not active.size:
                 break
             za = z[active]
-            newton = _newton_corrections(za, coeffs, _EPS * s)
+            newton = _newton_corrections(za, band, coeffs, _EPS * s)
             w = newton / (1.0 - newton * _aberth_sums(z, active))
             za -= w
             if not np.all(np.isfinite(za)):
@@ -262,22 +275,79 @@ def _aberth(band: tuple, pt: bool) -> np.ndarray | None:
     return z[np.lexsort((z.imag, z.real))]
 
 
-def _newton_corrections(z: np.ndarray, coeffs: tuple, pivmin: float) -> np.ndarray:
+def _newton_corrections(z: np.ndarray, band: tuple, coeffs: tuple,
+                        pivmin: float) -> np.ndarray:
     """p(z)/p'(z) for p(z) = det(H - z), at every point of z, from the
-    diagonals of `_aberth` as lists: (a, e) for `_ratio_pass`, (a, b, c)
-    padded in front for `_ldl_pass`.
+    diagonals of `_aberth`: the arrays of `band` (see `_band`), and the same
+    as lists in `coeffs`, (a, e) for `_ratio_pass` or (a, b, c) padded in
+    front for `_ldl_pass`.
 
     Either pass is one loop over k, vectorized over z, of a recurrence for
     ratios that do not overflow as p does.  A point where some pivot
     vanishes or overflows repeats the pass with pivots of modulus below
     pivmin set to pivmin, a backward perturbation of a_k by at most
-    2 pivmin.
+    2 pivmin.  That loop costs N steps of numpy calls however few points
+    there are, so for a tridiagonal H and at most `_FEW` points
+    `_stacked_pass` runs instead, in BLAS; a point where its scaled
+    recurrence left the floating-point range goes to `_ratio_pass` as above.
     """
-    kernel = _ratio_pass if len(coeffs) == 2 else _ldl_pass
-    out = kernel(z, *coeffs, 0.0)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = kernel(z[bad], *coeffs, pivmin)
+    kernel = _ratio_pass if len(band) == 2 else _ldl_pass
+    if kernel is _ratio_pass and len(z) <= _FEW:
+        out = _stacked_pass(z, *band)
+    else:
+        out = np.full(len(z), np.nan, dtype=complex)
+    for floor in (0.0, pivmin):
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = kernel(z[bad], *coeffs, floor)
+    return out
+
+
+def _stacked_pass(z: np.ndarray, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """p/p' for a tridiagonal H at a few points z, NaN where it cannot be
+    trusted, from the arrays (a, e) of `_band`.
+
+    The recurrence p_k = (a_k - z) p_{k-1} - e_{k-1} p_{k-2} (p_{-1} = 1)
+    is forward substitution in a unit lower triangular system of bandwidth
+    2, and so is p'_k = (a_k - z) p'_{k-1} - e_{k-1} p'_{k-2} - p_{k-1}.
+    One block per point, with no coupling between blocks, makes the values
+    one `ztbsv` call and the derivatives another, per chunk of points whose
+    band holds at most `_ABERTH_CHUNK` entries.  Unpivoted substitution is
+    exactly the recurrence, which is backward stable (Wilkinson, The
+    Algebraic Eigenvalue Problem, 1965).  It runs on p~_k = p_k /
+    sigma^(k+1), with sigma ~ sqrt(max|e|): p~_k = c_k p~_{k-1} - e~_{k-1}
+    p~_{k-2}, c_k = (a_k - z)/sigma and e~ = e/sigma^2, the derivatives
+    with the right-hand side -p~_{k-1}/sigma.  A point gets NaN when
+    |p~_{n-1}| or |p~'_{n-1}| is not within [`_TINY`, 1/`_TINY`]: the
+    substitution may have underflowed, or their quotient overflowed.
+    """
+    n = len(a)
+    # a power of 2 within a factor sqrt(2) of sqrt(max|e|): scaling rounds nothing
+    sigma = float(np.ldexp(1.0, np.frexp(np.max(np.abs(e), initial=0.0))[1] // 2))
+    at, et = a / sigma, e / (sigma * sigma)
+    rows = max(1, min(len(z), _ABERTH_CHUNK // (3 * n)))
+    ab = np.zeros((rows, n, 3), dtype=complex)  # its transpose is the band, Fortran order
+    ab[:, :-2, 2] = et[1:]  # element (k, k-2) is e~_{k-1}
+    x, y = np.empty((2, rows, n), dtype=complex)  # one chunk's p~ and p~'
+    out = np.empty(len(z), dtype=complex)
+    for p0 in range(0, len(z), rows):
+        zt = z[p0:p0 + rows] / sigma
+        m = len(zt)
+        np.subtract(zt[:, None], at[1:], out=ab[:m, :-1, 1])  # element (k, k-1) is -c_k
+        band = ab[:m].reshape(m * n, 3).T
+        p, dp = x[:m], y[:m]  # ztbsv overwrites these contiguous blocks
+        p[:, 0] = at[0] - zt  # p~_{-1} = 1 moved to the right
+        p[:, 1:2] = -et[:1]  # when n > 1
+        p[:, 2:] = 0.0
+        ztbsv(2, band, p.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        dp[:, 0] = 1.0
+        dp[:, 1:] = p[:, :-1]
+        dp /= -sigma
+        ztbsv(2, band, dp.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        lo = np.minimum(np.abs(p[:, -1]), np.abs(dp[:, -1]))  # NaN compares False
+        hi = np.maximum(np.abs(p[:, -1]), np.abs(dp[:, -1]))
+        trusted = (lo >= _TINY) & (hi <= 1.0 / _TINY)
+        out[p0:p0 + m] = np.where(trusted, p[:, -1] / dp[:, -1], np.nan)
     return out
 
 
@@ -590,8 +660,13 @@ def converged_bound_states(
     lie within tol_move of a candidate.  With none, every candidate is
     rejected.
 
-    Box continuum states sit at Re >= 0 for the potentials treated here, so
-    the sign test plus refinement stability isolates genuine bound states.
+    The filter assumes that the continuum edge lies at Re >= 0, as for the
+    Scarf II and first-order families: box-continuum states then fail the
+    sign test.  Stability in h does not tell them apart from bound states,
+    since both converge under refinement, so a potential with its edge below
+    0 keeps box states: at L = 16, `spectrum --V=-1-2*sech(x)^2 --N 1600`
+    reports 10 levels, of which only -2 is bound.  ROADMAP item 8 tests
+    stability in the box length instead.
     """
     fine = np.asarray(fine, dtype=complex)
     coarse = np.asarray(coarse, dtype=complex)

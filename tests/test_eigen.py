@@ -150,6 +150,14 @@ def test_non_pt_input_takes_the_unchanged_complex_path():
     np.testing.assert_array_equal(rep.vectors, vecs[:, order])
 
 
+def _eig_and_kappa(M):
+    """The eigenvalues of the dense M and their condition numbers
+    ||y|| ||x|| / |y^H x| from the left and right eigenvectors."""
+    w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
+    return w, (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
+               / np.abs(np.sum(vl.conj() * vr, axis=0)))
+
+
 def _random_band(N, seed, pt, gauged, bandwidth, diag_scale, off_scale):
     """diag_scale diag(d + V) plus off_scale times a real symmetric
     off-diagonal o, with d real and V complex; under `pt` d and o are
@@ -202,9 +210,7 @@ def test_aberth_values_match_dense_eig_within_the_condition_bound(N, seed, pt, g
         return
     assert rep.solver == "aberth"
     np.testing.assert_array_equal(rep.eigenvalues, vals)
-    w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
-    kappa = (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
-             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    w, kappa = _eig_and_kappa(M)
     dist = np.abs(vals[:, None] - w[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(dist)
     bound = 64 * N * np.finfo(float).eps * np.linalg.norm(M) * kappa[cols]
@@ -308,6 +314,129 @@ def test_a_solve_that_stops_retiring_iterates_gives_up_early(monkeypatch):
     assert rep.solver == "real-pt"
     assert len(calls) <= 32  # all 64 iterations ran before the give-up rule
     np.testing.assert_array_equal(rep.eigenvalues, shared.dense_eigvals(H))
+
+
+def _ratio_newton(z, coeffs, pivmin):
+    """p/p' from `_ratio_pass`, repeated with pivmin where it is not finite:
+    the tridiagonal Newton corrections of an iteration with many points."""
+    out = eigen._ratio_pass(z, *coeffs, 0.0)
+    bad = ~np.isfinite(out)
+    out[bad] = eigen._ratio_pass(z[bad], *coeffs, pivmin)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    N=st.integers(3, 300),
+    seed=st.integers(0, 2**32 - 1),
+    pt=st.booleans(),
+    gauged=st.booleans(),
+    log_scales=st.tuples(st.floats(-2.0, 4.0), st.floats(-2.0, 4.0)),
+)
+def test_stacked_pass_matches_the_ratio_pass(N, seed, pt, gauged, log_scales):
+    M = _random_band(N, seed, pt, gauged, 1, *(10.0 ** u for u in log_scales))
+    band = eigen._band(sp.csr_array(M))
+    coeffs = tuple(v.tolist() for v in band)
+    a, e = band
+    s = float(np.max(np.abs(a)) + 2.0 * np.sqrt(np.max(np.abs(e))))  # `_aberth`'s scale
+    pivmin = np.finfo(float).eps * s
+    w, kappa = _eig_and_kappa(M)
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(N, min(N, eigen._FEW), replace=False)
+    # 1e-6 (|lambda| + s) from a root and no nearer to another; at 1e-6
+    # (1 + |lambda|) from a small root of a large H, p/p' itself is
+    # conditioned worse than 1e-8, whichever backward stable pass forms it
+    gap = 1e-6 * (np.abs(w[idx]) + s)
+    z = w[idx] + gap * np.exp(2j * np.pi * rng.uniform(size=len(idx)))
+    z = z[np.min(np.abs(z[:, None] - w), axis=1) >= 0.999 * gap]
+    with np.errstate(all="ignore"):
+        for pts in (z, w):
+            got = eigen._stacked_pass(pts, *band)
+            ref = _ratio_newton(pts, coeffs, pivmin)
+            both = eigen._newton_corrections(pts, band, coeffs, pivmin)
+            ok = np.isfinite(got)
+            event(f"stacked pass out of range: {not ok.all()}")
+            if len(pts) <= eigen._FEW:  # the stacked pass where trusted, else the ratio pass
+                np.testing.assert_array_equal(both[ok], got[ok])
+                np.testing.assert_array_equal(both[~ok], _ratio_newton(pts[~ok], coeffs, pivmin))
+            else:
+                np.testing.assert_array_equal(both, ref)
+            if pts is z:
+                assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-8 * np.abs(ref[ok]))
+    # at the dense roots both read below the retirement floor, give or take the
+    # dense solver's own error (the condition bound of the Aberth test above)
+    bound = (eigen._ABERTH_FLOOR * (np.abs(w) + s)
+             + 64 * N * np.finfo(float).eps * np.linalg.norm(M) * kappa)
+    assert np.all(np.abs(ref) <= bound)
+    assert np.all(np.abs(got[ok]) <= bound[ok])
+
+
+@pytest.mark.parametrize("fault", ["overflow", "underflow"])
+def test_a_band_out_of_the_stacked_range_gets_the_ratio_pass_bit_for_bit(fault):
+    rng = np.random.default_rng(3)
+    N = 200
+    if fault == "overflow":  # |a - z| / sqrt(max|e|) ~ 1e6 in every row
+        a = 1e4 * (1.0 + rng.uniform(size=N))
+        e = np.full(N - 1, 1e-4)
+    else:  # one large e sets sqrt(max|e|) = 1e3, and every other row scales by ~1e-3
+        a = rng.normal(size=N)
+        e = np.full(N - 1, 1e-6)
+        e[N // 2] = 1e6
+    band = a.astype(complex), e.astype(complex)
+    coeffs = tuple(v.tolist() for v in band)
+    z = np.linspace(a.min(), a.max(), eigen._FEW) + 1e-3j
+    pivmin = np.finfo(float).eps * np.max(np.abs(a))
+    with np.errstate(all="ignore"):
+        assert np.all(np.isnan(eigen._stacked_pass(z, *band)))
+        got = eigen._newton_corrections(z, band, coeffs, pivmin)
+        np.testing.assert_array_equal(got, _ratio_newton(z, coeffs, pivmin))
+    assert np.all(np.isfinite(got))
+
+
+def test_a_tail_call_stays_within_the_chunk_budget():
+    N = 1600
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, N)
+    band = eigen._band(H)
+    coeffs = tuple(v.tolist() for v in band)
+    z = np.linspace(0.0, 4.0 * (N / 32.0) ** 2, eigen._FEW) + 1e-3j  # across the band
+    tracemalloc.start()
+    try:
+        out = eigen._newton_corrections(z, band, coeffs, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    # the band of one chunk of points and its two right-hand sides; without
+    # chunks the call would take 5 N _FEW entries
+    assert peak <= 2 * eigen._ABERTH_CHUNK * 16
+
+
+def test_the_stacked_pass_runs_every_tail_iteration_and_only_those(monkeypatch):
+    calls = {"newton": [], "ratio": [], "stacked": []}
+    for name, key in (("_newton_corrections", "newton"), ("_ratio_pass", "ratio"),
+                      ("_stacked_pass", "stacked")):
+        def spy(z, *args, _f=getattr(eigen, name), _key=key):
+            calls[_key].append(len(z))
+            return _f(z, *args)
+
+        monkeypatch.setattr(eigen, name, spy)
+    N = 400
+    H = shared.hamiltonian("scarf2", 2.0, 1.0, N)
+    rep = eigen.eig(H)
+    assert rep.solver == "aberth"
+    few = [m for m in calls["newton"] if m <= eigen._FEW]
+    assert few and calls["stacked"] == few
+    assert calls["ratio"] == [m for m in calls["newton"] if m > eigen._FEW]
+    M = H.toarray()
+    w, kappa = _eig_and_kappa(M)
+    dense = shared.dense_eigvals(H)  # the real-pt values
+    kappa = kappa[np.argmin(np.abs(dense[:, None] - w), axis=1)]
+    dist = np.abs(rep.eigenvalues[:, None] - dense)
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    assert np.all(dist[rows, cols] <= 64 * N * np.finfo(float).eps * np.linalg.norm(M) * kappa[cols])
+    calls["stacked"].clear()
+    assert eigen.eig(shared.hamiltonian("scarf2", 2.0, 1.0, N, 0.0, 4)).solver == "aberth"
+    assert calls["stacked"] == []  # bandwidth 2 keeps `_ldl_pass`
 
 
 def test_eigenvalue_sum_matches_trace():
