@@ -2,11 +2,10 @@
 """Complex Scarf II spectrum vs the analytic level formulas.
 
 Builds H = -d^2/dx^2 - (A^2+A+1) sech^2 x + i (2A+1) sech x tanh x on a
-Dirichlet box at accuracy 4, solves for its Re < 0 levels (sparse
-shift-invert, `eigen.eig_below`) at two grid resolutions, filters converged
-bound states, and compares them with the closed-form energies.  The
-complexified potential carries one extra level (-1/4) on top of the
--(A-n)^2 series: the level doubling.  Exits 1 when the bound count is not
+Dirichlet box at accuracy 4, keeps the Re < 0 levels that converge between
+two grid resolutions (`eigen.bound_levels`), and compares them with the
+closed-form energies.  The complexified potential carries one extra level
+(-1/4) on top of the -(A-n)^2 series: the level doubling.  Exits 1 when the bound count is not
 |series1| + 1.
 """
 
@@ -17,22 +16,12 @@ import numpy as np
 import etaqm as q
 from etaqm import eigen
 
-A, L, N, ACCURACY, TOL_MOVE = 2.0, 16.0, 800, 4, 1e-3
+A, L, N, ACCURACY = 2.0, 16.0, 800, 4
 
 levels = q.scarf2_levels(A, 1.0)
 print(f"analytic series1 {levels.series1}  series2 {levels.series2}")
 
-pot = q.scarf2_potential(A, 1.0)
-
-
-def levels_below(n: int, top: float) -> np.ndarray:
-    H = q.build_hamiltonian(q.make_grid(L, n), pot, accuracy=ACCURACY)
-    return eigen.eig_below(H, top).eigenvalues
-
-
-# the filter compares each Re < 0 fine level with the coarse ones within TOL_MOVE
-bound = eigen.converged_bound_states(levels_below(N // 2, TOL_MOVE), levels_below(N, 0.0),
-                                     TOL_MOVE)
+bound = eigen.bound_levels(q.scarf2_potential(A, 1.0), L, N, ACCURACY)[1]
 
 print(f"\nconverged bound states at N={N} (movement vs N={N // 2}):")
 for v, m in zip(bound.values, bound.movement):

@@ -22,9 +22,11 @@ levels: --family --A --B --d --k.
 A flag matches by its full name only: an abbreviation such as --acc, or a flag
 that the subcommand does not take, is a config error (exit 2).
 
-The gauged H_beta = G H0 G^-1 (H0 = -D2 + diag(V), G = exp(beta int_0^x nu))
-reaches no eigen solve: `spectrum` reports H0's levels, which are H_beta's,
-and `evolve --state-index` starts from G x for an eigenvector x of H0.
+The bound levels of `spectrum` and `sweep` come from `eigen.bound_levels`,
+the one two-grid (N/2 vs N) filter.  The gauged H_beta = G H0 G^-1
+(H0 = -D2 + diag(V), G = exp(beta int_0^x nu)) reaches no eigen solve:
+`spectrum` reports H0's levels, which are H_beta's, and `evolve
+--state-index` starts from G x for an eigenvector x of H0.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import NanAbortError, ParameterError, SolverError, ToolkitError
 from .grid import make_grid
 
 DEFAULTS = {"L": 16.0, "N": 1600, "T": 5.0, "dt": 1e-3, "tol": 1e-6}
-TOL_MOVE = 1e-3  # a bound level moves less than this between the N/2 and N grids
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NAN = 0, 2, 3, 4
 
@@ -203,33 +204,12 @@ def levelset_json(levels: models.LevelSet) -> dict:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def bound_filtered(potential, L: float, N: int, accuracy: int, full: bool = True):
-    """The fine-grid (N) eigenvalues of H0 = -D2 + diag(V), which every gauged
-    G H0 G^-1 shares, plus the two-grid (N/2 vs N) bound-state filter.
-
-    With `full` the fine report holds all N eigenvalues (`eig`: Ehrlich-Aberth
-    on the banded H0, dense LAPACK behind a failed certificate); otherwise
-    only those with Re < 0, the filter's candidates.  The coarse grid needs
-    only Re < TOL_MOVE: a coarse level within TOL_MOVE of a candidate has
-    Re < TOL_MOVE, so every decision and kept movement is the one the whole
-    coarse spectrum would give.
-    """
-    g_fine = make_grid(L, N)
-    g_coarse = make_grid(L, N // 2)
-    H_fine = operators.build_hamiltonian(g_fine, potential, accuracy=accuracy)
-    H_coarse = operators.build_hamiltonian(g_coarse, potential, accuracy=accuracy)
-    fine = eigen.eig(H_fine) if full else eigen.eig_below(H_fine, 0.0)
-    coarse = eigen.eig_below(H_coarse, TOL_MOVE)
-    bound = eigen.converged_bound_states(coarse.eigenvalues, fine.eigenvalues, TOL_MOVE)
-    return fine, bound
-
-
 def cmd_spectrum(args) -> int:
     potential = potential_from_args(args)
     gauge = gauge_from_args(args)
     if gauge is not None:  # the levels are the gauge-free ones; nu is still checked
         operators.gauge_antiderivative(make_grid(args.L, args.N), gauge.nu)
-    report, bound = bound_filtered(potential, args.L, args.N, args.accuracy)
+    report, bound = eigen.bound_levels(potential, args.L, args.N, args.accuracy, full=True)
     out = {
         "config": {
             "L": args.L, "N": args.N, "accuracy": args.accuracy,
@@ -344,7 +324,7 @@ def _sweep_row(task) -> tuple[int, dict]:
             potential = models.scarf2_potential(fixed["A"], value)
         else:
             raise ParameterError(f"unknown sweep axis {axis!r}")
-        _, bound = bound_filtered(potential, L, N, accuracy, full=False)
+        _, bound = eigen.bound_levels(potential, L, N, accuracy)
         tags, _ = eigen.classify_spectrum(bound.values, tol)
         row["max_im"] = float(np.max(np.abs(bound.values.imag))) if len(bound.values) else 0.0
         row["real_count"] = sum(1 for t in tags if t == "real")

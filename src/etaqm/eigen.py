@@ -14,14 +14,16 @@ request whose certificate fails are one dense `scipy.linalg.eig` call, on
 the real fold S^H H S for PT-symmetric input.
 `eig_below` returns only those with Re < top, by shift-invert Arnoldi
 (ARPACK) certified complete by a bound on the numerical range, and falls
-back to `eig` when that would be costly or fails; the CLI uses it wherever
-only the low levels are read: the coarse grid of the two-grid filter, the
-sweep rows and `evolve --state-index`.  The CLI hands both solvers only the
+back to `eig` when that would be costly or fails.  It serves wherever only
+the low levels are read: `bound_levels` (both grids of `sweep`, the coarse
+grid of `spectrum`) and `evolve --state-index`.  Both solvers see only the
 ungauged H0 = -D2 + diag(V): a gauged G H0 G^-1 has its levels and vectors G x.
 
 Pseudo-Hermitian spectra are real or come in complex-conjugate pairs; the
-classifier tags each eigenvalue accordingly.  `converged_bound_states` keeps
-the Re < 0 eigenvalues that are stable under grid refinement.  That tells
+classifier tags each eigenvalue accordingly.  `bound_levels` is the one
+two-grid (N/2, N) bound-level policy of the CLI, the demos and the test
+fixtures: `converged_bound_states` keeps the Re < 0 eigenvalues of the fine
+grid that move less than `TOL_MOVE` against the coarse one.  That tells
 bound states from box-continuum states only when the continuum edge lies at
 Re >= 0: both converge in h, and they differ in the box length L instead.
 For V = -1 - 2 sech^2 x (edge -1) the box states between -1 and 0 pass the
@@ -36,10 +38,12 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ztbsv
 
+from . import operators
 from .errors import ParameterError, SolverError
+from .grid import make_grid
 
 __all__ = ["SpectrumReport", "eig", "eig_below", "pt_real_basis", "classify_spectrum",
-           "converged_bound_states", "BoundStates"]
+           "bound_levels", "converged_bound_states", "BoundStates", "TOL_MOVE"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,7 @@ _ABERTH_FLOOR = 4 * _EPS  # a correction below this times (|z| + s) is rounding
 _FEW = 160  # up to this many active iterates `_stacked_pass` beats `_ratio_pass`
 _TINY = 2.0 ** -900  # a scaled p or p' outside [_TINY, 1/_TINY] may have lost digits
 _TRACE_C = 16  # the trace checks allow _TRACE_C N eps of the sums of magnitudes
+TOL_MOVE = 1e-3  # a bound level moves less than this between the N/2 and N grids
 
 
 def pt_real_basis(n: int):
@@ -130,9 +135,11 @@ def eig(M, want_vectors: bool = False) -> SpectrumReport:
 
     A values-only request on a banded M that `_band` accepts (every stored
     entry within one diagonal of the main one, or within two when M == M^T
-    exactly) goes to `_aberth` (solver "aberth"); when its certificate
-    fails, and for every other request, LAPACK QR iteration runs as
-    follows, and its result is returned as it is.
+    exactly) goes to `_aberth` (solver "aberth"), which makes real roots
+    exactly real and pairs exact conjugates whenever det(M - z) is real: M
+    PT-symmetric (below), or every array of `_band(M)` real, as for any real
+    V.  When its certificate fails, and for every other request, LAPACK QR
+    iteration runs as follows, and its result is returned as it is.
 
     The Hamiltonians of the paper commute with the antilinear operator PT,
     so their characteristic polynomial is real and the matrix is unitarily
@@ -153,7 +160,8 @@ def eig(M, want_vectors: bool = False) -> SpectrumReport:
     S, R = _pt_fold(H)
     band = None if want_vectors else _band(H)
     if band is not None:
-        vals = _aberth(band, pt=R is not None)
+        real = R is not None or not any(np.any(d.imag) for d in band)
+        vals = _aberth(band, real=real)
         if vals is not None:
             return _report(vals, None, "aberth")
     try:
@@ -191,7 +199,7 @@ def _band(H) -> tuple | None:
     return a, b.astype(complex), c.astype(complex)
 
 
-def _aberth(band: tuple, pt: bool) -> np.ndarray | None:
+def _aberth(band: tuple, real: bool) -> np.ndarray | None:
     """The roots of det(H - z) for the banded H of `band` (see `_band`),
     sorted by (Re, Im), or None when the certificate fails.
 
@@ -219,10 +227,11 @@ def _aberth(band: tuple, pt: bool) -> np.ndarray | None:
     the whole budget), and sum z = tr H and sum z^2 = tr H^2 = sum a^2 +
     2 sum e (or sum a^2 + 2 sum b^2 + 2 sum c^2), each within `_TRACE_C`
     n eps times the matching sum of magnitudes (a root missed or found
-    twice moves them).  For PT input (`pt`) the polynomial is real: each
-    root is real within its estimate or pairs with a conjugate within the
-    sum of theirs (`_pt_pairs`), and the values come out as the "real-pt"
-    solver gives them.
+    twice moves them).  When the polynomial is real (`real`: PT input, or a
+    band with real entries), each root is real within its estimate or pairs
+    with a conjugate within the sum of theirs (`_pt_pairs`), and the values
+    come out as the "real-pt" solver gives them: real levels with Im exactly
+    0, pairs exact conjugates.
     """
     a = band[0]
     n = len(a)
@@ -268,7 +277,7 @@ def _aberth(band: tuple, pt: bool) -> np.ndarray | None:
                 or abs(z2.sum() - (a * a).sum() - 2.0 * off.sum())
                 > tol * (np.abs(a * a).sum() + 2.0 * np.abs(off).sum() + np.abs(z2).sum())):
             return None
-    if pt:
+    if real:
         z = _pt_pairs(z, err)
         if z is None:
             return None
@@ -648,16 +657,13 @@ class BoundStates:
     rejected: np.ndarray    # fine-grid Re<0 values that moved too much
 
 
-def converged_bound_states(
-    coarse: np.ndarray,
-    fine: np.ndarray,
-    tol_move: float = 1e-3,
-) -> BoundStates:
+def converged_bound_states(coarse: np.ndarray, fine: np.ndarray) -> BoundStates:
     """Filter Re(lambda) < 0 eigenvalues of the fine grid by their movement
-    relative to the nearest coarse-grid eigenvalue.
+    relative to the nearest coarse-grid eigenvalue: a candidate is kept when
+    that movement is below `TOL_MOVE`.
 
-    `coarse` needs to hold only the levels with Re < tol_move: no other can
-    lie within tol_move of a candidate.  With none, every candidate is
+    `coarse` needs to hold only the levels with Re < TOL_MOVE: no other can
+    lie within TOL_MOVE of a candidate.  With none, every candidate is
     rejected.
 
     The filter assumes that the continuum edge lies at Re >= 0, as for the
@@ -676,5 +682,27 @@ def converged_bound_states(
     if len(cand) == 0:
         return BoundStates(values=cand, movement=np.empty(0), rejected=cand)
     move = np.array([np.min(np.abs(coarse - v), initial=np.inf) for v in cand])
-    keep = move < tol_move
+    keep = move < TOL_MOVE
     return BoundStates(values=cand[keep], movement=move[keep], rejected=cand[~keep])
+
+
+def bound_levels(potential, L: float, N: int, accuracy: int = 2,
+                 full: bool = False) -> tuple[SpectrumReport, BoundStates]:
+    """The fine-grid (N) eigenvalues of H0 = -D2 + diag(V), which every gauged
+    G H0 G^-1 shares, plus the two-grid (N/2 vs N) bound-state filter.
+
+    With `full` the fine report holds all N eigenvalues (`eig`: Ehrlich-Aberth
+    on the banded H0, dense LAPACK behind a failed certificate); otherwise
+    only those with Re < 0, the filter's candidates (`eig_below`).  The
+    coarse grid needs only Re < TOL_MOVE: a coarse level within TOL_MOVE of a
+    candidate has Re < TOL_MOVE, so every decision and kept movement is the
+    one the whole coarse spectrum would give.
+    """
+    g_fine = make_grid(L, N)
+    g_coarse = make_grid(L, N // 2)
+    H_fine = operators.build_hamiltonian(g_fine, potential, accuracy=accuracy)
+    H_coarse = operators.build_hamiltonian(g_coarse, potential, accuracy=accuracy)
+    fine = eig(H_fine) if full else eig_below(H_fine, 0.0)
+    coarse = eig_below(H_coarse, TOL_MOVE)
+    bound = converged_bound_states(coarse.eigenvalues, fine.eigenvalues)
+    return fine, bound

@@ -1,8 +1,9 @@
-"""Shared cached builders for the heavy numerical fixtures.
+"""Shared cached builders for the numerical fixtures.
 
-Dense eigendecompositions at desk scale take seconds; tests share them
-through memoized builders instead of pytest fixtures so that any test module
-(including the acceptance suite) can reuse the same spectra.
+Tests share Hamiltonians, spectra and bound levels through memoized builders
+instead of pytest fixtures, so that any test module (including the acceptance
+suite) reuses them instead of solving again.  The bound levels are the CLI's
+(`eigen.bound_levels`).
 """
 
 from __future__ import annotations
@@ -82,12 +83,9 @@ def eig_full(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
 
 
 @lru_cache(maxsize=None)
-def bound_states(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
-                 accuracy: int = 2):
-    """Two-grid (N/2 vs N) filtered bound candidates."""
-    coarse = eig_values(kind, p1, p2, N // 2, beta, accuracy)
-    fine = eig_values(kind, p1, p2, N, beta, accuracy)
-    return eigen.converged_bound_states(coarse, fine)
+def bound_states(kind: str, p1: float, p2: float, N: int, accuracy: int = 2):
+    """Two-grid (N/2 vs N) filtered bound levels, those of every gauge."""
+    return eigen.bound_levels(_potential(kind, p1, p2), L_BOX, N, accuracy)[1]
 
 
 def bound_vectors(kind: str, p1: float, p2: float, N: int, levels,

@@ -157,6 +157,18 @@ def test_spectrum_reports_the_solver(monkeypatch, capsys, V, solver):
     assert json.loads(capsys.readouterr().out)["diagnostics"] == {"solver": solver}
 
 
+@pytest.mark.parametrize("accuracy", ["2", "4"])
+def test_a_real_potential_without_pt_symmetry_has_exactly_real_levels(capsys, accuracy):
+    # V = -2 sech^2(x - 1) is real but not even, so H0 is not PT-symmetric;
+    # its band is real, so det(H0 - z) is still a real polynomial
+    argv = ["spectrum", "--V=-2*sech(x-1)^2", "--N", "400", "--accuracy", accuracy]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostics"]["solver"] == "aberth"
+    assert all(im == 0.0 for _, im in out["eigenvalues"])
+    assert out["bound"]["count"] > 0
+
+
 def test_evolve_state_index_on_a_conjugate_pair_is_deterministic(tmp_path):
     # Beyond the reality boundary (V2 = 3 > V1 + 1/4) the two lowest levels
     # are an exact conjugate pair, listed -Im first.  Under its own metric a

@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import conftest as shared
-from etaqm import eigen, expr
+from etaqm import eigen, expr, models
 from etaqm import operators as ops
 from etaqm.errors import ParameterError, SolverError
 from etaqm.grid import diff_matrix, make_grid
@@ -201,7 +201,7 @@ def test_aberth_values_match_dense_eig_within_the_condition_bound(N, seed, pt, g
     assert (eigen._pt_fold(H)[1] is not None) == pt
     band = eigen._band(H)
     assert len(band) == bandwidth + 1
-    vals = eigen._aberth(band, pt=pt)
+    vals = eigen._aberth(band, real=pt)
     rep = eigen.eig(H)
     event(f"bandwidth {bandwidth}: {rep.solver}")
     if vals is None:  # the certificate failed: the dense solver's result
@@ -252,7 +252,7 @@ def test_a_failed_certificate_returns_the_dense_result_bit_for_bit(monkeypatch, 
 def test_an_iterate_retired_off_a_root_fails_the_trace_certificate(monkeypatch):
     H = shared.hamiltonian("scarf2", 2.0, 1.0, 200)
     band = eigen._band(H)
-    assert eigen._aberth(band, pt=True) is not None
+    assert eigen._aberth(band, real=True) is not None
     newton = eigen._newton_corrections
 
     def freeze_first(z, *args):  # iterate 0 stays at its start point
@@ -262,15 +262,15 @@ def test_an_iterate_retired_off_a_root_fails_the_trace_certificate(monkeypatch):
         return out
 
     monkeypatch.setattr(eigen, "_newton_corrections", freeze_first)
-    assert eigen._aberth(band, pt=False) is None  # no pairing check runs
+    assert eigen._aberth(band, real=False) is None  # no pairing check runs
     assert eigen.eig(H).solver == "real-pt"
 
 
 def test_roots_without_conjugates_fail_the_pt_certificate():
     # the non-PT H passes every other check; its roots are not conjugate-symmetric
     band = eigen._band(shared.hamiltonian("non-pt", 0.0, 0.0, 200))
-    assert eigen._aberth(band, pt=False) is not None
-    assert eigen._aberth(band, pt=True) is None
+    assert eigen._aberth(band, real=False) is not None
+    assert eigen._aberth(band, real=True) is None
 
 
 def test_vector_requests_on_a_tridiagonal_h_run_the_dense_solver_unchanged():
@@ -573,7 +573,7 @@ def test_lowest_levels_never_unpaired_for_pt_fixtures(kind, p1, p2, N):
 def test_bound_filter_keeps_stable_negative_eigenvalues():
     coarse = np.array([-4.001, -0.9995, 0.3, 1.2], dtype=complex)
     fine = np.array([-4.0003, -0.99991, -0.05, 0.31, 1.21], dtype=complex)
-    b = eigen.converged_bound_states(coarse, fine, tol_move=1e-3)
+    b = eigen.converged_bound_states(coarse, fine)
     np.testing.assert_allclose(b.values, [-4.0003, -0.99991])
     assert list(np.round(b.rejected.real, 3)) == [-0.05]
 
@@ -755,15 +755,31 @@ def test_numerical_range_box_holds_every_eigenvalue():
 ])
 def test_sparse_bound_states_agree_with_dense_on_the_acceptance_fixtures(kind, p2, N, beta,
                                                                          accuracy):
-    dense = shared.bound_states(kind, 2.0, p2, N, beta, accuracy)
-    fine = eigen.eig_below(shared.hamiltonian(kind, 2.0, p2, N, beta, accuracy), 0.0)
-    coarse = eigen.eig_below(shared.hamiltonian(kind, 2.0, p2, N // 2, beta, accuracy), 1e-3)
-    sparse = eigen.converged_bound_states(coarse.eigenvalues, fine.eigenvalues)
+    # the reference: every eigenvalue of the gauged H on both grids, so the
+    # agreement also pins the gauge invariance of the fixture's H0 levels
+    dense = eigen.converged_bound_states(shared.eig_values(kind, 2.0, p2, N // 2, beta, accuracy),
+                                         shared.eig_values(kind, 2.0, p2, N, beta, accuracy))
+    sparse = shared.bound_states(kind, 2.0, p2, N, accuracy)
     assert len(sparse.values) == len(dense.values) > 0
     np.testing.assert_allclose(sparse.values, dense.values, rtol=0, atol=1e-9)
     np.testing.assert_allclose(sparse.movement, dense.movement, rtol=0, atol=1e-9)
     assert len(sparse.rejected) == len(dense.rejected)
 
+
+
+@settings(max_examples=20, deadline=None)
+@given(A=st.floats(1.0, 3.0), B=st.floats(0.6, 1.6), accuracy=st.sampled_from([2, 4]))
+def test_bound_levels_decides_the_same_from_every_level_or_the_negative_ones(A, B, accuracy):
+    # the argument of the `bound_levels` docstring: the fine-grid candidates
+    # are the Re < 0 levels either way, so the filter keeps and rejects the same
+    potential = ops.ScarfII(*models.scarf2_strengths(A, B))  # the bench's Scarf II draws
+    full = eigen.bound_levels(potential, shared.L_BOX, 400, accuracy, full=True)[1]
+    below = eigen.bound_levels(potential, shared.L_BOX, 400, accuracy)[1]
+    event(f"accuracy {accuracy}: {len(full.values)} kept, {len(full.rejected)} rejected")
+    assert len(below.values) == len(full.values)
+    assert len(below.rejected) == len(full.rejected)
+    np.testing.assert_allclose(below.values, full.values, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(below.movement, full.movement, rtol=0, atol=1e-9)
 
 def _no_convergence(*args, **kwargs):
     from scipy.sparse.linalg import ArpackNoConvergence
