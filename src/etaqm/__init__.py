@@ -11,9 +11,10 @@ dense `scipy.linalg.eig` call, on a real fold of PT-symmetric H (on the
 complex H otherwise).  The Re < 0 levels come from certified sparse
 shift-invert.  Spectra are classified into real levels and
 conjugate pairs against analytic levels.  Crank-Nicolson
-evolution checks the generalized conservation law and eta-orthogonality,
-and records the per-step flux form of the continuity law, which the
-implicit midpoint rule keeps to rounding when the weight symmetrizes H.
+evolution of one field checks the generalized conservation law (which, by
+polarization, covers eta-orthogonality) and records the per-step flux
+form of the continuity law, which the implicit midpoint rule keeps to
+rounding when the weight symmetrizes H.
 """
 
 from .errors import (

@@ -443,7 +443,7 @@ def cmd_evolve(args) -> int:
         psi0 = evolve.gaussian_state(grid, args.gauss_x0, args.gauss_sigma, args.gauss_k)
     psi0, _ = inner.pseudo_normalize(grid, w, psi0, index=args.state_index or 0)
 
-    trace = evolve.run(H, grid, w, psi0, psi0, args.T, args.dt)
+    trace = evolve.run(H, grid, w, psi0, args.T, args.dt)
     Q0 = trace.Q[0]
     drift = np.max(np.abs(trace.Q - Q0)) / abs(Q0)
     out = {

@@ -2,14 +2,16 @@
 
 Tests share Hamiltonians, spectra and bound levels through memoized builders
 instead of pytest fixtures, so that any test module (including the acceptance
-suite) reuses them instead of solving again.  The bound levels are the CLI's
-(`eigen.bound_levels`).
+suite) reuses them instead of solving again.  Each builder is keyed on its
+arguments with the defaults filled in, so every spelling of one call builds
+once.  The bound levels are the CLI's (`eigen.bound_levels`).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,24 @@ def subprocess_env() -> dict:
     return env
 
 
-@lru_cache(maxsize=None)
+def _cached(fn):
+    """fn memoized on its arguments bound to its signature with the defaults
+    applied: f(a, b) with b's default, f(a, b=2) and f(a, 2) share one entry,
+    which functools.lru_cache alone keys three times."""
+    signature = inspect.signature(fn)
+    cached = functools.lru_cache(maxsize=None)(fn)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    call.cache_info = cached.cache_info
+    return call
+
+
+@_cached
 def grid(N: int, L: float = L_BOX):
     return q.make_grid(L, N)
 
@@ -54,7 +73,7 @@ def _potential(kind: str, p1: float, p2: float) -> ops.PotentialSpec:
     raise ValueError(kind)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def hamiltonian(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
                 accuracy: int = 2) -> np.ndarray:
     g = grid(N)
@@ -62,7 +81,7 @@ def hamiltonian(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
     return q.build_hamiltonian(g, _potential(kind, p1, p2), gauge, accuracy)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def eig_values(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
                accuracy: int = 2) -> np.ndarray:
     return eigen.eig(hamiltonian(kind, p1, p2, N, beta, accuracy)).eigenvalues
@@ -76,13 +95,13 @@ def dense_eigvals(H) -> np.ndarray:
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
-@lru_cache(maxsize=None)
+@_cached
 def eig_full(kind: str, p1: float, p2: float, N: int, beta: float = 0.0,
              accuracy: int = 2):
     return eigen.eig(hamiltonian(kind, p1, p2, N, beta, accuracy), want_vectors=True)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def bound_states(kind: str, p1: float, p2: float, N: int, accuracy: int = 2):
     """Two-grid (N/2 vs N) filtered bound levels, those of every gauge."""
     return eigen.bound_levels(_potential(kind, p1, p2), L_BOX, N, accuracy)[1]

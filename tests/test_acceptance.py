@@ -148,22 +148,22 @@ def test_criterion_7_conservation_law():
     u0 = shared.bound_vectors("special-b1", 2.0, 0.0, N, (-4.0,),
                               beta=shared.GAUGE_BETA, accuracy=4)[0]
     u0, _ = inner.pseudo_normalize(g, w, u0)
-    tr_ground = evolve.run(Hb, g, w, u0, u0, 5.0, 1e-3)
+    tr_ground = evolve.run(Hb, g, w, u0, 5.0, 1e-3)
     drift_ground = float(np.max(np.abs(tr_ground.Q - tr_ground.Q[0])) / abs(tr_ground.Q[0]))
 
     psi = evolve.gaussian_state(g, 0.0, 1.0)
     psi_g, _ = inner.pseudo_normalize(g, w, psi)
-    tr_mix = evolve.run(Hb, g, w, psi_g, psi_g, 5.0, 1e-3)
+    tr_mix = evolve.run(Hb, g, w, psi_g, 5.0, 1e-3)
     drift_mix = float(np.max(np.abs(tr_mix.Q - tr_mix.Q[0])) / abs(tr_mix.Q[0]))
 
     Hh = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
     ones = np.ones(N)
     psi_h, _ = inner.pseudo_normalize(g, ones, psi)
-    tr_h = evolve.run(Hh, g, ones, psi_h, psi_h, 5.0, 1e-3)
+    tr_h = evolve.run(Hh, g, ones, psi_h, 5.0, 1e-3)
     drift_h = float(np.max(np.abs(tr_h.Q - tr_h.Q[0])) / abs(tr_h.Q[0]))
 
     psi_1, _ = inner.pseudo_normalize(g, ones, psi)
-    tr_bad = evolve.run(Hb, g, ones, psi_1, psi_1, 5.0, 1e-3)
+    tr_bad = evolve.run(Hb, g, ones, psi_1, 5.0, 1e-3)
     drift_bad = float(np.max(np.abs(tr_bad.Q - tr_bad.Q[0])) / abs(tr_bad.Q[0]))
 
     # the per-step flux law: rounding for the Hermitian well, order one for

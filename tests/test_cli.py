@@ -269,6 +269,31 @@ def test_an_underflowing_gauge_weight_is_one_json_error_without_warnings(command
     assert "beta=30.0" in err["message"] and "max|int nu|=" in err["message"]
 
 
+_PACKET = ("evolve", "--V=-2*sech(x)^2", "--N", "100", "--L", "8", "--T", "0.01")
+
+
+@pytest.mark.parametrize("flag", [("--gauss-sigma", "0"), ("--gauss-sigma", "1e-300"),
+                                  ("--gauss-x0", "100")],
+                         ids=["sigma-0", "sigma-squares-to-0", "x0-outside-the-box"])
+def test_a_degenerate_gaussian_packet_is_one_json_error_without_warnings(flag):
+    # each packet is 0 or 0/0 on the grid: evolve used to print three
+    # RuntimeWarnings (a traceback under -W error) and blame the initial states
+    r = run_cli(*_PACKET, *flag, warnings_as_errors=True)
+    assert r.returncode == 2 and r.stdout == ""
+    err = json.loads(r.stderr)  # the whole of stderr is one JSON object
+    assert err["code"] == 2
+    assert "sigma=" in err["message"] and "x0=" in err["message"]
+
+
+def test_a_negative_or_overflowing_sigma_still_gives_a_packet():
+    # only sigma^2 enters: -1 is the packet of 1, and 1e200, whose square
+    # overflows a float, is the plane wave (it used to raise OverflowError)
+    runs = [run_cli(*_PACKET, "--gauss-sigma", s, warnings_as_errors=True)
+            for s in ("1", "-1", "1e200")]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 3
+    assert runs[0].stdout == runs[1].stdout
+
+
 def _without_beta(report: str) -> list[str]:
     return [line for line in report.splitlines() if not line.lstrip().startswith('"beta"')]
 
@@ -426,7 +451,7 @@ def test_trace_csv_is_byte_identical_to_the_per_value_format(rows):
     Q = np.empty(len(rows), dtype=complex)
     Q.real, Q.imag = re, im
     trace = evolve.EvolutionTrace(times=t, Q=Q, continuity_residual=defect,
-                                  final_states=(t, t))
+                                  final_state=t)
     assert cli.trace_csv(trace) == _trace_csv_per_value(trace)
 
 
@@ -468,7 +493,7 @@ def test_trace_csv_writes_non_finite_values_as_json_strings():
     Q = np.empty(2, dtype=complex)
     Q.real, Q.imag = [1.0, np.inf], [0.0, np.nan]
     trace = evolve.EvolutionTrace(times=t, Q=Q, continuity_residual=np.array([0.0, -np.inf]),
-                                  final_states=(t, t))
+                                  final_state=t)
     assert cli.trace_csv(trace).splitlines()[2] == '0.001,"inf","nan","-inf"'
     assert cli.fmt_float(np.float64("inf")) == cli.dump_json(np.float64("inf")) == '"inf"'
 

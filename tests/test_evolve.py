@@ -47,17 +47,14 @@ _CAYLEY_TOL = 64 * np.finfo(float).eps
     log_scale=st.floats(-2.0, 4.0),
     log_dt=st.floats(-4.0, 0.0),
     sign=st.sampled_from([1.0, -1.0]),
-    columns=st.sampled_from([None, 2]),
 )
-def test_cayley_step_matches_the_b_form_solve(N, bandwidth, seed, log_scale, log_dt, sign,
-                                              columns):
+def test_cayley_step_matches_the_b_form_solve(N, bandwidth, seed, log_scale, log_dt, sign):
     # the step 2 A^-1 psi - psi against solve(I + zH, (I - zH) psi), z = i dt/2
     rng = np.random.default_rng(seed)
     offsets = [o for o in range(-bandwidth, bandwidth + 1) if abs(o) < N]
     bands = [rng.normal(size=N - abs(o)) + 1j * rng.normal(size=N - abs(o)) for o in offsets]
     H = sp.diags(bands, offsets, format="csr") * 10.0**log_scale
-    shape = (N,) if columns is None else (N, columns)
-    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     dt = sign * 10.0**log_dt
     zH = 0.5j * dt * H.toarray()
     eye = np.eye(N)
@@ -83,15 +80,14 @@ def test_banded_step_matches_a_dense_solve_when_superlu_pivots(N, bandwidth):
     assert not np.array_equal(prop.gather, np.arange(N))
     if bandwidth < N - 1:
         assert prop.kl > bandwidth
-    psi = rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2))
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     zH = 0.5j * dt * H.toarray()
     eye = np.eye(N)
     ref = scipy.linalg.solve(eye + zH, (eye - zH) @ psi)
     bound = (_CAYLEY_TOL * np.linalg.cond(eye + zH) * (1 + np.linalg.norm(zH, 2))
              * np.max(np.abs(psi)))
-    out = prop.step(psi)
-    assert np.max(np.abs(out - ref)) <= bound
-    assert np.array_equal(prop.step(psi[:, 1]), out[:, 1])  # columns are solved one by one
+    assert np.max(np.abs(prop.step(psi) - ref)) <= bound
+
 
 def test_phase_error_is_second_order_in_dt():
     E = 2.0
@@ -111,41 +107,40 @@ def test_singular_implicit_system_detected():
     H = (2j / dt) * np.eye(3)  # makes I + i dt/2 H exactly zero
     psi = np.ones(3, dtype=complex)
     with pytest.raises(SingularSystemError):
-        evolve.run(H, q.make_grid(1.0, 3), np.ones(3), psi, psi, dt, dt)
+        evolve.run(H, q.make_grid(1.0, 3), np.ones(3), psi, dt, dt)
 
 
 def test_phi_reduction_matches_forward_field():
-    # stepping phi = conj(psi2(-x)) at -dt equals flipping the forward psi2
+    # stepping phi = conj(psi(-x)) at -dt equals flipping the forward psi
     g = q.make_grid(12.0, 300)
     Hb = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), q.GaugeSpec(0.5, expr.parse("tanh(x)")))
     forward, backward = evolve._CrankNicolson(Hb, 1e-3), evolve._CrankNicolson(Hb, -1e-3)
-    psi2 = evolve.gaussian_state(g, 1.0, 1.2, 0.5)
-    phi = np.conj(psi2[::-1])
+    psi = evolve.gaussian_state(g, 1.0, 1.2, 0.5)
+    phi = np.conj(psi[::-1])
     for _ in range(40):
-        psi2 = forward.step(psi2)
+        psi = forward.step(psi)
         phi = backward.step(phi)
-    agree = np.linalg.norm(phi - np.conj(psi2[::-1])) / np.linalg.norm(phi)
+    agree = np.linalg.norm(phi - np.conj(psi[::-1])) / np.linalg.norm(phi)
     assert agree <= 1e-12
 
 
 def test_run_propagates_psi2_forward_for_non_pt_hamiltonian():
     # V = -2 sech^2 x + 0.5 i sech^2 x is not PT-symmetric, so phi may not be
-    # stepped at -dt; run must agree with psi2 propagated forward directly
+    # stepped at -dt; run must agree with psi propagated forward directly
     g = q.make_grid(16.0, 200)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")))
     w = np.ones(g.N)
     psi, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.0, 1.0))
-    tr = evolve.run(H, g, w, psi, psi, 1.0, 1e-3)
+    tr = evolve.run(H, g, w, psi, 1.0, 1e-3)
     prop = evolve._CrankNicolson(H, 1e-3)
-    psi2 = psi
     for _ in range(1000):
-        psi2 = prop.step(psi2)
-    Q_direct = g.h * np.sum(w * np.conj(psi2[::-1]) * psi2)
+        psi = prop.step(psi)
+    Q_direct = g.h * np.sum(w * np.conj(psi[::-1]) * psi)
     assert tr.Q[-1] == pytest.approx(Q_direct, rel=1e-10)
-    np.testing.assert_allclose(tr.final_states[1], psi2, rtol=0, atol=1e-10 * np.abs(psi2).max())
+    np.testing.assert_allclose(tr.final_state, psi, rtol=0, atol=1e-10 * np.abs(psi).max())
 
 
-def _reference_run(H, grid, w, psi1, psi2, T, dt):
+def _reference_run(H, grid, w, psi, T, dt):
     """Q and the per-step defect from B-form steps, A psi' = B psi, and the
     flux law in dense form: dP/dt - i [(S mphi) mpsi - mphi (S mpsi)] with
     S = (W H + (W H)^T)/2 and mpsi, mphi the step midpoints."""
@@ -158,17 +153,16 @@ def _reference_run(H, grid, w, psi1, psi2, T, dt):
     steps = round(T / dt)
     Q, defect = np.empty(steps + 1, dtype=complex), np.zeros(steps + 1)
     for k in range(steps + 1):
-        phi = np.conj(psi2[::-1])
-        P = w * phi * psi1
+        phi = np.conj(psi[::-1])
+        P = w * phi * psi
         Q[k] = grid.h * P.sum()
         if k:
-            mpsi, mphi = 0.5 * (old1 + psi1), 0.5 * (old_phi + phi)
+            mpsi, mphi = 0.5 * (old + psi), 0.5 * (old_phi + phi)
             law = (P - old_P) / dt - 1j * ((S @ mphi) * mpsi - mphi * (S @ mpsi))
             defect[k] = np.abs(law).max()
-        old1, old_phi, old_P = psi1, phi, P
+        old, old_phi, old_P = psi, phi, P
         if k < steps:
-            psi1 = scipy.linalg.lu_solve(lu, B @ psi1)
-            psi2 = scipy.linalg.lu_solve(lu, B @ psi2)
+            psi = scipy.linalg.lu_solve(lu, B @ psi)
     return Q, defect
 
 
@@ -192,8 +186,8 @@ def test_run_matches_the_b_form_reference(case):
         H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")))
     w = np.ones(g.N)
     psi, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.7, 0.8, 1.0))
-    tr = evolve.run(H, g, w, psi, psi, 2.0, 1e-2)
-    Q, defect = _reference_run(H, g, w, psi, psi, 2.0, 1e-2)
+    tr = evolve.run(H, g, w, psi, 2.0, 1e-2)
+    Q, defect = _reference_run(H, g, w, psi, 2.0, 1e-2)
     assert tr.continuity_residual[0] == defect[0] == 0
     np.testing.assert_allclose(tr.Q, Q, rtol=0, atol=1e-11 * np.max(np.abs(Q)))
     np.testing.assert_allclose(tr.continuity_residual, defect, rtol=0,
@@ -214,10 +208,9 @@ _FLUX_TOL = 80 * np.finfo(float).eps
     log_scale=st.floats(-2.0, 4.0),
     log_dt=st.floats(-4.0, 0.0),
     log_w=st.floats(0.0, 3.0),
-    same=st.booleans(),
 )
 def test_flux_law_is_exact_when_the_weight_symmetrizes_h(N, width, seed, log_scale, log_dt,
-                                                         log_w, same):
+                                                         log_w):
     # H = W^-1 S with S complex symmetric and PT-symmetric: real bands that
     # are mirror images of themselves and a diagonal with d(-x) = conj d(x)
     rng = np.random.default_rng(seed)
@@ -231,12 +224,10 @@ def test_flux_law_is_exact_when_the_weight_symmetrizes_h(N, width, seed, log_sca
     H = sp.diags([d, *(b / w[:-o] for o, b in zip(offsets, bands)),
                   *(b / w[o:] for o, b in zip(offsets, bands))],
                  [0, *offsets, *(-o for o in offsets)], format="csr")
-    psi1 = rng.normal(size=N) + 1j * rng.normal(size=N)
-    psi2 = psi1.copy() if same else rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     dt, steps = 10.0**log_dt, 3
-    tr = evolve.run(H, q.make_grid(1.0, N), w, psi1, psi2, steps * dt, dt)
+    tr = evolve.run(H, q.make_grid(1.0, N), w, psi, steps * dt, dt)
     prop = evolve._CrankNicolson(H, dt)
-    psi = np.column_stack([psi1, psi2])
     M = np.abs(psi).max()
     for _ in range(steps):
         psi = prop.step(psi)
@@ -246,21 +237,19 @@ def test_flux_law_is_exact_when_the_weight_symmetrizes_h(N, width, seed, log_sca
     assert tr.continuity_residual.max() <= _FLUX_TOL * w.max() * M**2 * (1 + zH) / dt
 
 
-def _per_step_run(H, grid, w, psi1_0, psi2_0, T, dt, two_columns=False):
+def _per_step_run(H, grid, w, psi0, T, dt):
     """The record of evolve.run taken one step at a time, as it was before
-    blocks: Q, the per-step defect and both final states, with the same
-    NanAbortError guard.  psi1 and psi2 step as one column when they are
-    equal bit for bit, unless two_columns is set."""
+    blocks: Q, the per-step defect and the final state, with the same
+    NanAbortError guard."""
     steps = round(T / dt)
     prop = evolve._CrankNicolson(H, dt)
     bonds = [(o, 0.25j * dt * s) for o, s in evolve._bonds(H, w)]
-    same = not two_columns and psi1_0.tobytes() == psi2_0.tobytes()
-    psi = np.column_stack([psi1_0] if same else [psi1_0, psi2_0]).astype(complex)
+    psi = np.asarray(psi0, dtype=complex)
     Q = np.empty(steps + 1, dtype=complex)
     defect_max = np.zeros(steps + 1)
 
     def density(k):
-        P = w * np.conj(psi[::-1, -1]) * psi[:, 0]
+        P = w * np.conj(psi[::-1]) * psi
         Q[k] = grid.h * P.sum()
         return P
 
@@ -269,8 +258,8 @@ def _per_step_run(H, grid, w, psi1_0, psi2_0, T, dt, two_columns=False):
         for k in range(1, steps + 1):
             old, psi = psi, prop.step(psi)
             P = density(k)
-            mid = old + psi
-            mpsi, mphi = mid[:, 0], np.conj(mid[::-1, -1])
+            mpsi = old + psi
+            mphi = np.conj(mpsi[::-1])
             r = P - P_old
             for o, c in bonds:
                 F = mpsi[:-o] * mphi[o:]
@@ -282,70 +271,57 @@ def _per_step_run(H, grid, w, psi1_0, psi2_0, T, dt, two_columns=False):
             P_old = P
             if not np.isfinite(Q[k]):
                 raise NanAbortError(last_valid_step=k - 1)
-    return Q, defect_max, psi[:, 0], psi[:, -1]
+    return Q, defect_max, psi
 
 
 def _identity_case(case):
-    """(H, grid, weight, psi1_0, psi2_0, T) for the bit-identity test."""
-    gauge = q.GaugeSpec(shared.GAUGE_BETA, expr.parse("tanh(x)"))
-    if case == "distinct-levels":  # the fields of test_orthogonality_decay_between_distinct_levels
-        N = 1600
-        g = shared.grid(N)
-        H = shared.hamiltonian("special-b1", 2.0, 0.0, N, beta=shared.GAUGE_BETA, accuracy=4)
-        w = shared.exact_gauge_weight(N)
-        u0, u1 = shared.bound_vectors("special-b1", 2.0, 0.0, N, (-4.0, -1.0),
-                                      beta=shared.GAUGE_BETA, accuracy=4)
-        return H, g, w, inner.pseudo_normalize(g, w, u0)[0], inner.pseudo_normalize(g, w, u1)[0], 0.2
+    """(H, grid, weight, psi0) for the bit-identity test."""
     if case == "non-pt-odd-N":
         g = q.make_grid(12.0, 301)
         H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2 + 0.5*i*sech(x)^2")))
         w = np.ones(g.N)
     else:
         g = q.make_grid(12.0, 400)
+        gauge = q.GaugeSpec(shared.GAUGE_BETA, expr.parse("tanh(x)"))
         accuracy = 4 if case == "gauged-accuracy-4" else 2
         H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), gauge, accuracy)
         w = operators.gauge_weight(g, gauge.beta, gauge.nu)
-    psi1 = evolve.gaussian_state(g, 0.7, 0.8, 1.0)
-    psi2 = evolve.gaussian_state(g, -1.1, 1.3, -0.6) if case == "distinct-packets" else psi1
-    return H, g, w, psi1, psi2, 1.0
+    return H, g, w, evolve.gaussian_state(g, 0.7, 0.8, 1.0)
 
 
-@pytest.mark.parametrize(
-    "case", ["equal-fields", "distinct-packets", "distinct-levels", "gauged-accuracy-4",
-             "non-pt-odd-N"])
+@pytest.mark.parametrize("case", ["equal-fields", "gauged-accuracy-4", "non-pt-odd-N"])
 def test_run_is_bit_identical_to_the_two_column_record(case):
-    H, g, w, psi1, psi2, T = _identity_case(case)
-    tr = evolve.run(H, g, w, psi1, psi2, T, 1e-3)
-    Q, defect, final1, final2 = _per_step_run(H, g, w, psi1, psi2, T, 1e-3, two_columns=True)
+    # 1000 steps against the per-step record; "equal-fields" is the gauged
+    # accuracy-2 packet
+    H, g, w, psi = _identity_case(case)
+    tr = evolve.run(H, g, w, psi, 1.0, 1e-3)
+    Q, defect, final = _per_step_run(H, g, w, psi, 1.0, 1e-3)
     assert np.array_equal(tr.Q, Q)
     assert np.array_equal(tr.continuity_residual, defect)
-    assert np.array_equal(tr.final_states[0], final1)
-    assert np.array_equal(tr.final_states[1], final2)
+    assert np.array_equal(tr.final_state, final)
 
 
 _K = evolve._BLOCK
 
 
 @pytest.mark.parametrize("steps", sorted({1, _K - 1, _K, _K + 1, 3 * _K + 2} - {0}))
-@pytest.mark.parametrize("fields", [1, 2])
 @pytest.mark.parametrize("accuracy", [2, 4])
-def test_block_record_is_bit_identical_to_the_per_step_record(steps, fields, accuracy):
+def test_block_record_is_bit_identical_to_the_per_step_record(steps, accuracy):
     g = q.make_grid(8.0, 200)
     gauge = q.GaugeSpec(shared.GAUGE_BETA, expr.parse("tanh(x)"))
     H = q.build_hamiltonian(g, q.scarf2_potential(2.0, 1.0), gauge, accuracy)
     w = operators.gauge_weight(g, gauge.beta, gauge.nu)
-    # packets at the walls, where a bond that wraps from one row of a block
-    # into the next would carry flux if its weight were not 0
-    psi1 = evolve.gaussian_state(g, -6.5, 0.8, 1.0)
-    psi2 = psi1.copy() if fields == 1 else evolve.gaussian_state(g, 6.0, 1.3, -0.6)
+    # a packet at the wall, where a bond that wraps from one row of a block
+    # into the next would carry flux if its weight were not 0; phi sits at
+    # the other wall
+    psi = evolve.gaussian_state(g, -6.5, 0.8, 1.0)
     dt = 1e-2
-    tr = evolve.run(H, g, w, psi1, psi2, steps * dt, dt)
-    Q, defect, final1, final2 = _per_step_run(H, g, w, psi1, psi2, steps * dt, dt)
+    tr = evolve.run(H, g, w, psi, steps * dt, dt)
+    Q, defect, final = _per_step_run(H, g, w, psi, steps * dt, dt)
     assert len(tr.Q) == steps + 1
     assert np.array_equal(tr.Q, Q)
     assert np.array_equal(tr.continuity_residual, defect)
-    assert np.array_equal(tr.final_states[0], final1)
-    assert np.array_equal(tr.final_states[1], final2)
+    assert np.array_equal(tr.final_state, final)
 
 
 # under this gain the field grows by 2e5 a step and Q by 4e10, so a field
@@ -363,10 +339,10 @@ def test_block_record_aborts_at_the_per_step_last_valid_step(first_bad):
     psi *= np.sqrt(np.finfo(float).max) / _GAIN_PER_STEP ** (first_bad - 0.5)
     w = np.ones(g.N)
     with pytest.raises(NanAbortError) as ref:
-        _per_step_run(H, g, w, psi, psi, 1.0, dt)
+        _per_step_run(H, g, w, psi, 1.0, dt)
     assert ref.value.last_valid_step == first_bad - 1  # the scale put it there
     with pytest.raises(NanAbortError) as exc:
-        evolve.run(H, g, w, psi, psi, 1.0, dt)
+        evolve.run(H, g, w, psi, 1.0, dt)
     assert exc.value.last_valid_step == first_bad - 1
 
 
@@ -374,23 +350,21 @@ def test_run_memory_stays_within_a_few_blocks():
     # 3000 steps at N = 1600: beyond its trace arrays, run holds the factor,
     # the tiled bond weights, the (K + 1, N) state blocks and the record's
     # workspace, never a row per step.  Measured at K = 4: 53 rows of N
-    # complex with one field and 62 with two.
+    # complex.
     g = shared.grid(1600)
     H = shared.hamiltonian("special-b1", 2.0, 0.0, 1600, beta=shared.GAUGE_BETA, accuracy=4)
     w = shared.exact_gauge_weight(1600)
-    psi1, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.3, 1.1, 0.4))
-    psi2, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, -0.3, 1.1, 0.4))
-    evolve.run(H, g, w, psi1, psi2, 0.01, 1e-3)  # imports and first-call caches
+    psi, _ = inner.pseudo_normalize(g, w, evolve.gaussian_state(g, 0.3, 1.1, 0.4))
+    evolve.run(H, g, w, psi, 0.01, 1e-3)  # imports and first-call caches
     row = g.N * np.dtype(complex).itemsize
-    for psi2_0 in (psi1, psi2):
-        tracemalloc.start()
-        try:
-            tr = evolve.run(H, g, w, psi1, psi2_0, 3.0, 1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        trace = tr.times.nbytes + tr.Q.nbytes + tr.continuity_residual.nbytes
-        assert peak - trace <= (24 + 16 * evolve._BLOCK) * row
+    tracemalloc.start()
+    try:
+        tr = evolve.run(H, g, w, psi, 3.0, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    trace = tr.times.nbytes + tr.Q.nbytes + tr.continuity_residual.nbytes
+    assert peak - trace <= (24 + 16 * evolve._BLOCK) * row
 
 
 def test_run_rejects_a_non_finite_weight():
@@ -401,38 +375,16 @@ def test_run_rejects_a_non_finite_weight():
         w = np.ones(g.N)
         w[-1] = bad
         with pytest.raises(ParameterError, match="weight"):
-            evolve.run(H, g, w, psi, psi, 0.1, 1e-2)
-
-def test_equal_fields_step_one_column(monkeypatch):
-    g = q.make_grid(6.0, 60)
-    H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
-    psi = evolve.gaussian_state(g, 0.0, 0.8)
-    psi[0] = 0.0
-    signed = psi.copy()
-    signed[0] = complex(-0.0, 0.0)  # equal in value, not in bits
-    widths = []
-    step = evolve._CrankNicolson.step
-
-    def spy(self, stack):
-        widths.append(stack.shape[1])
-        return step(self, stack)
-
-    monkeypatch.setattr(evolve._CrankNicolson, "step", spy)
-    for psi2, width in ((psi.copy(), 1), (evolve.gaussian_state(g, 1.0, 0.8), 2), (signed, 2)):
-        widths.clear()
-        tr = evolve.run(H, g, np.ones(g.N), psi, psi2, 0.05, 1e-2)
-        assert widths == [width] * 5
-        assert tr.final_states[0] is not tr.final_states[1]
+            evolve.run(H, g, w, psi, 0.1, 1e-2)
 
 
 def test_run_rejects_initial_states_off_the_grid():
     g = q.make_grid(4.0, 50)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))
     psi = evolve.gaussian_state(g, 0.0, 0.5)
-    short = psi[:49]
-    for psi1, psi2 in ((short, psi), (psi, short), (psi, np.column_stack([psi, psi]))):
+    for bad in (psi[:49], np.column_stack([psi, psi])):
         with pytest.raises(DimensionError):
-            evolve.run(H, g, np.ones(g.N), psi1, psi2, 0.1, 1e-2)
+            evolve.run(H, g, np.ones(g.N), bad, 0.1, 1e-2)
 
 
 def test_hermitian_run_conserves_q():
@@ -441,7 +393,7 @@ def test_hermitian_run_conserves_q():
     w = np.ones(g.N)
     psi = evolve.gaussian_state(g, 0.0, 1.0)
     psi, _ = inner.pseudo_normalize(g, w, psi)
-    tr = evolve.run(H, g, w, psi, psi, 5.0, 1e-3)
+    tr = evolve.run(H, g, w, psi, 5.0, 1e-3)
     drift = np.max(np.abs(tr.Q - tr.Q[0])) / abs(tr.Q[0])
     assert drift <= 1e-8
     assert np.max(np.abs(tr.Q.imag)) <= 1e-10  # Q stays real here
@@ -451,12 +403,10 @@ def test_trace_bookkeeping():
     g = q.make_grid(6.0, 100)
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))
     psi = evolve.gaussian_state(g, 0.0, 0.8)
-    tr = evolve.run(H, g, np.ones(g.N), psi, psi, 0.05, 1e-2)
+    tr = evolve.run(H, g, np.ones(g.N), psi, 0.05, 1e-2)
     assert len(tr.times) == len(tr.Q) == len(tr.continuity_residual) == 6
     np.testing.assert_allclose(np.diff(tr.times), 1e-2)
-    assert tr.final_states[0].shape == (g.N,)
-    # identical initial fields + real symmetric H keep the two fields equal
-    assert np.array_equal(tr.final_states[0], tr.final_states[1])
+    assert tr.final_state.shape == (g.N,)
 
 
 def test_stationary_state_q_constant_under_pt_weight():
@@ -466,7 +416,7 @@ def test_stationary_state_q_constant_under_pt_weight():
     vec = shared.bound_vectors("special-b1", 2.0, 0.0, 800, (-4.0,))[0]
     w = np.ones(g.N)
     psi, _ = inner.pseudo_normalize(g, w, vec)
-    tr = evolve.run(H, g, w, psi, psi, 5.0, 1e-3)
+    tr = evolve.run(H, g, w, psi, 5.0, 1e-3)
     assert np.max(np.abs(tr.Q - tr.Q[0])) / abs(tr.Q[0]) <= 1e-6
 
 
@@ -478,20 +428,20 @@ def test_gauged_conservation_and_weight_contrast():
     w = shared.exact_gauge_weight(N)
     psi = evolve.gaussian_state(g, 0.0, 1.0)
     psi_g, _ = inner.pseudo_normalize(g, w, psi)
-    tr = evolve.run(Hb, g, w, psi_g, psi_g, 5.0, 1e-3)
+    tr = evolve.run(Hb, g, w, psi_g, 5.0, 1e-3)
     drift = np.max(np.abs(tr.Q - tr.Q[0])) / abs(tr.Q[0])
     assert drift <= 1e-5
 
     ones = np.ones(N)
     psi_1, _ = inner.pseudo_normalize(g, ones, psi)
-    tr_bad = evolve.run(Hb, g, ones, psi_1, psi_1, 5.0, 1e-3)
+    tr_bad = evolve.run(Hb, g, ones, psi_1, 5.0, 1e-3)
     drift_bad = np.max(np.abs(tr_bad.Q - tr_bad.Q[0])) / abs(tr_bad.Q[0])
     assert drift_bad >= 1e-2
 
 
 def test_eigenstate_q_insensitive_to_weight():
     # an exact eigenvector keeps Q constant for any weight: the conjugate
-    # phases of the two fields cancel identically, so the metric mismatch
+    # phases of psi and phi cancel identically, so the metric mismatch
     # is only visible on superposition states
     N = 800
     g = shared.grid(N)
@@ -499,23 +449,29 @@ def test_eigenstate_q_insensitive_to_weight():
     vec = shared.bound_vectors("special-b1", 2.0, 0.0, N, (-4.0,), beta=shared.GAUGE_BETA)[0]
     ones = np.ones(N)
     psi, _ = inner.pseudo_normalize(g, ones, vec)
-    tr = evolve.run(Hb, g, ones, psi, psi, 2.0, 1e-3)
+    tr = evolve.run(Hb, g, ones, psi, 2.0, 1e-3)
     assert np.max(np.abs(tr.Q - tr.Q[0])) / abs(tr.Q[0]) <= 1e-8
 
 
 def test_orthogonality_decay_between_distinct_levels():
-    # Q(t) built from two distinct real levels stays negligible
+    # psi = u0 + u1 for the levels -4 and -1: Q(t) = G00 + G11
+    # + e^{3it} G10 + e^{-3it} G01 with G = inner.gram, so Q stays at
+    # G00 + G11 only when the two levels are orthogonal in the weight's form.
+    # The gauge weight makes them so, with G00 = +1 and G11 = -1 (the form is
+    # indefinite); under the unit weight the cross terms swing Q by about 2.
     N = 1600
     g = shared.grid(N)
     Hb = shared.hamiltonian("special-b1", 2.0, 0.0, N, beta=shared.GAUGE_BETA, accuracy=4)
-    w = shared.exact_gauge_weight(N)
-    u0, u1 = shared.bound_vectors("special-b1", 2.0, 0.0, N, (-4.0, -1.0),
+    levels = shared.bound_vectors("special-b1", 2.0, 0.0, N, (-4.0, -1.0),
                                   beta=shared.GAUGE_BETA, accuracy=4)
-    u0, _ = inner.pseudo_normalize(g, w, u0)
-    u1, _ = inner.pseudo_normalize(g, w, u1)
-    tr = evolve.run(Hb, g, w, u0, u1, 2.0, 1e-3)
-    assert abs(tr.Q[0]) <= 1e-6
-    assert np.max(np.abs(tr.Q)) <= 1e-6
+    swing = {}
+    for name, w in (("gauge", shared.exact_gauge_weight(N)), ("unit", np.ones(N))):
+        u0, u1 = (inner.pseudo_normalize(g, w, u)[0] for u in levels)
+        G = inner.gram(g, w, [u0, u1])
+        tr = evolve.run(Hb, g, w, u0 + u1, 2.0, 1e-3)
+        swing[name] = np.max(np.abs(tr.Q - (G[0, 0] + G[1, 1])))
+    assert swing["gauge"] <= 1e-6
+    assert swing["unit"] >= 1e-2
 
 
 def test_stationary_real_state_carries_no_current():
@@ -525,7 +481,7 @@ def test_stationary_real_state_carries_no_current():
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("-2*sech(x)^2")))
     _, vecs = np.linalg.eigh(H.toarray().real)
     u = vecs[:, 0] / np.sqrt(g.h)
-    tr = evolve.run(H, g, np.ones(g.N), u, u, 0.5, 1e-3)
+    tr = evolve.run(H, g, np.ones(g.N), u, 0.5, 1e-3)
     assert np.max(np.abs(tr.Q - tr.Q[0])) <= 1e-12 * abs(tr.Q[0])
     assert tr.continuity_residual.max() <= 1e-12
 
@@ -537,7 +493,7 @@ def test_free_packet_obeys_the_flux_law_to_rounding():
         g = q.make_grid(16.0, N)
         H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))
         psi = evolve.gaussian_state(g, -4.0, 1.0, 1.0)
-        tr = evolve.run(H, g, np.ones(g.N), psi, psi, 0.5, dt)
+        tr = evolve.run(H, g, np.ones(g.N), psi, 0.5, dt)
         assert tr.continuity_residual.max() <= 1e-12
 
 
@@ -548,7 +504,7 @@ def test_gauged_fixture_defect_small_for_stationary_data():
     w = shared.exact_gauge_weight(N)
     u0 = shared.bound_vectors("special-b1", 2.0, 0.0, N, (-4.0,), beta=shared.GAUGE_BETA)[0]
     u0, _ = inner.pseudo_normalize(g, w, u0)
-    tr = evolve.run(Hb, g, w, u0, u0, 1.0, 1e-3)
+    tr = evolve.run(Hb, g, w, u0, 1.0, 1e-3)
     assert tr.continuity_residual[1:-1].max() <= 1e-4
 
 
@@ -559,24 +515,24 @@ def test_nan_guard_reports_last_step():
     H = (1.99998j / dt) * np.eye(g.N, dtype=complex)
     psi = evolve.gaussian_state(g, 0.0, 0.5)
     with pytest.raises(NanAbortError) as exc:
-        evolve.run(H, g, np.ones(g.N), psi, psi, 1.0, dt)
+        evolve.run(H, g, np.ones(g.N), psi, 1.0, dt)
     assert 0 < exc.value.last_valid_step < 100
 
 
 def test_nan_guard_fires_when_the_field_overflows_under_a_finite_q():
-    # under the smallest normal weight, w conj(psi2) psi1 stays finite until
+    # under the smallest normal weight, w conj(psi(-x)) psi stays finite until
     # psi itself overflows (at weight 1e-300 Q still overflows a step first),
     # so the Q test alone must stop the run at the field's first non-finite step
     g = q.make_grid(4.0, 30)
     dt = 1e-2
     H = (1.99998j / dt) * np.eye(g.N, dtype=complex)
     psi0 = evolve.gaussian_state(g, 0.0, 0.5)
-    prop, psi, k = evolve._CrankNicolson(H, dt), psi0[:, None], 0
+    prop, psi, k = evolve._CrankNicolson(H, dt), psi0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.all(np.isfinite(psi)):
             psi, k = prop.step(psi), k + 1
     with pytest.raises(NanAbortError) as exc:
-        evolve.run(H, g, np.full(g.N, np.finfo(float).tiny), psi0, psi0, 1.0, dt)
+        evolve.run(H, g, np.full(g.N, np.finfo(float).tiny), psi0, 1.0, dt)
     assert exc.value.last_valid_step == k - 1
 
 
@@ -586,7 +542,7 @@ def test_run_rejects_non_finite_initial_state():
     psi = evolve.gaussian_state(g, 0.0, 0.5)
     psi[3] = np.nan
     with pytest.raises(ParameterError):
-        evolve.run(H, g, np.ones(g.N), psi, psi, 0.1, 1e-2)
+        evolve.run(H, g, np.ones(g.N), psi, 0.1, 1e-2)
 
 
 def test_run_rejects_bad_spans():
@@ -594,6 +550,6 @@ def test_run_rejects_bad_spans():
     H = q.build_hamiltonian(g, q.CustomPotential(expr.parse("0")))
     psi = evolve.gaussian_state(g, 0.0, 0.5)
     with pytest.raises(ParameterError):
-        evolve.run(H, g, np.ones(g.N), psi, psi, -1.0, 1e-2)
+        evolve.run(H, g, np.ones(g.N), psi, -1.0, 1e-2)
     with pytest.raises(ParameterError):  # T/dt = 5.25 is not a whole number of steps
-        evolve.run(H, g, np.ones(g.N), psi, psi, 0.0105, 2e-3)
+        evolve.run(H, g, np.ones(g.N), psi, 0.0105, 2e-3)
